@@ -7,7 +7,7 @@ Subpackages
 ``fock``      Dense truncated-space vectors, ladder operators, expm.
 ``algebra``   SU(1,1) generators, phase operators, reordering maps.
 ``states``    Phase, Barut-Girardello, London and displaced-vacuum states.
-``lattice``   Waveguide-array Hamiltonians, RK4 propagation, closed forms.
+``lattice``   Waveguide-array Hamiltonians, exact spectral propagation, closed forms.
 ``checks``    Named verification suites (also behind ``focklat verify``).
 """
 
@@ -27,7 +27,6 @@ from .algebra import (
 from .fock import (
     TruncatedOperator,
     annihilation,
-    apply,
     basis_state,
     commutator,
     creation,
@@ -78,7 +77,6 @@ __all__ = [
     "TruncatedOperator",
     "algebra",
     "annihilation",
-    "apply",
     "basis_state",
     "bch_antinormal_to_normal",
     "bch_normal_to_antinormal",

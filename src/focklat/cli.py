@@ -113,7 +113,6 @@ _OPTION_TABLES = {
         "zmax": (float, None, True),
         "dim": (int, None, True),
         "samples": (int, 200, False),
-        "steps_per_sample": (int, 20, False),
         "sign": (int, 1, False),
     },
     "bch-check": {
@@ -312,7 +311,6 @@ def _run_propagate(params):
         fock.basis_state(spec.dim, guide_in),
         zmax=params["zmax"],
         samples=params["samples"],
-        steps_per_sample=params["steps_per_sample"],
     )
     header = ["z", "guide", "re", "im", "abs2"]
     rows = []
@@ -387,7 +385,10 @@ def run(config):
     else:
         text = _emit_json(_meta(config), header, rows, diagnostics)
     if config.output_path:
-        Path(config.output_path).write_text(text)
+        try:
+            Path(config.output_path).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {config.output_path}: {exc}")
     else:
         sys.stdout.write(text)
     return status

@@ -138,11 +138,6 @@ def identity(dim):
     return TruncatedOperator(np.eye(dim, dtype=complex), edge_band=0)
 
 
-def apply(op, vec):
-    """Apply a truncated operator to a state."""
-    return op.apply(vec)
-
-
 def commutator(a, b):
     """[A, B] = AB - BA; widens the edge band by one extra level."""
     a._check_same_dim(b)

@@ -16,7 +16,6 @@ above that.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,16 +26,6 @@ MAX_ARGUMENT = 50.0
 
 _SERIES_CUTOFF = 15.0  # I_m switches from series to recurrence here
 _RESCALE = 1e250
-
-
-@dataclass(frozen=True)
-class BesselEvaluation:
-    """A function value together with a conservative accuracy estimate."""
-
-    order: int
-    argument: float
-    value: float
-    est_rel_error: float
 
 
 def _check_order(m):
@@ -156,18 +145,3 @@ def bessel_i(m, x):
         return _i_series(m, x)
     return float(_miller_i(m, x)[m])
 
-
-def _error_estimate(m, x):
-    # rounding accumulates over the recurrence length; the seeded-start
-    # contamination is already below 1e-14 by construction
-    return 2e-16 * (_start_order(m, abs(x)) + 8)
-
-
-def evaluate_bessel_j(m, x):
-    """J_m(x) packaged with its accuracy estimate."""
-    return BesselEvaluation(m, float(x), bessel_j(m, x), _error_estimate(m, x))
-
-
-def evaluate_bessel_i(m, x):
-    """I_m(x) packaged with its accuracy estimate."""
-    return BesselEvaluation(m, float(x), bessel_i(m, x), _error_estimate(m, x))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import fock, specfun
 from .algebra import phase_operators, su11_generators
-from .errors import BesselRootError, DimensionError, RangeError
+from .errors import BesselRootError, DimensionError, NumericError, RangeError
 from .fock import TruncatedOperator
 
 MAX_ALPHA = 20.0  # keeps Bessel arguments 2|alpha| inside the table range
@@ -47,7 +47,7 @@ def _check_dim(dim):
 
 
 def _check_alpha(alpha):
-    if abs(alpha) > MAX_ALPHA:
+    if not abs(alpha) <= MAX_ALPHA:
         raise RangeError(f"|alpha| = {abs(alpha)} exceeds supported maximum {MAX_ALPHA}")
     return alpha
 
@@ -59,6 +59,8 @@ def phase_state(phi, dim):
     eigenvalue examples rely on.
     """
     dim = _check_dim(dim)
+    if not np.isfinite(phi):
+        raise RangeError(f"phase-state angle must be finite, got {phi}")
     j = np.arange(dim)
     return np.exp(1j * phi * (j + 0.5)) / math.sqrt(_TWO_PI)
 
@@ -193,15 +195,19 @@ def su11_perelomov_state(alpha, k, dim):
     """
     dim = _check_dim(dim)
     alpha = _check_alpha(complex(alpha))
-    if not k > 0:
-        raise RangeError(f"Bargmann index must be positive, got {k}")
+    if not (math.isfinite(k) and k > 0):
+        raise RangeError(f"Bargmann index must be positive and finite, got {k}")
     if alpha == 0:
         return fock.vacuum(dim)
     mu = (alpha / abs(alpha)) * math.tanh(abs(alpha))
     m = np.arange(dim)
     lg = np.array([math.lgamma(2 * k + mm) - math.lgamma(mm + 1) for mm in m])
-    lg -= math.lgamma(2 * k)
-    return (1.0 - abs(mu) ** 2) ** k * np.exp(0.5 * lg) * mu**m
+    with np.errstate(all="ignore"):  # overflow at huge k is caught below
+        lg -= math.lgamma(2 * k)
+        out = (1.0 - abs(mu) ** 2) ** k * np.exp(0.5 * lg) * mu**m
+    if not np.all(np.isfinite(out.view(float))):
+        raise NumericError(f"displaced-vacuum amplitudes are not finite at k = {k}")
+    return out
 
 
 def eigen_residual(op, vec, eigenvalue, exclude_top=0):

@@ -24,8 +24,7 @@ def _report(num, name, ok, detail):
 def uniform_run():
     spec = LatticeSpec(LatticeKind.UNIFORM, 64)
     t0 = time.perf_counter()
-    res = lattice.propagate(spec, fock.vacuum(64), zmax=5.0, samples=200,
-                            steps_per_sample=20)
+    res = lattice.propagate(spec, fock.vacuum(64), zmax=5.0, samples=200)
     return spec, res, time.perf_counter() - t0
 
 
@@ -33,8 +32,7 @@ def uniform_run():
 def su11_run():
     spec = LatticeSpec(LatticeKind.SU11, 400)
     t0 = time.perf_counter()
-    res = lattice.propagate(spec, fock.vacuum(400), zmax=2.0, samples=200,
-                            steps_per_sample=40)
+    res = lattice.propagate(spec, fock.vacuum(400), zmax=2.0, samples=200)
     return spec, res, time.perf_counter() - t0
 
 

@@ -32,7 +32,6 @@ def test_parse_propagate_command():
     assert config.params["lattice"] == "uniform"
     assert config.params["zmax"] == 5.0
     assert config.params["samples"] == 200
-    assert config.params["steps_per_sample"] == 20
 
 
 def test_unknown_flag_is_usage_error():
@@ -118,7 +117,7 @@ def test_impulse_su11_row(capsys):
 def test_propagate_diagnostics_footer(capsys):
     status, out, _ = run_cli(
         ["propagate", "--lattice", "uniform", "--zmax", "1", "--dim", "32",
-         "--samples", "10", "--steps-per-sample", "10"], capsys)
+         "--samples", "10"], capsys)
     assert status == 0
     footer = [line for line in out.splitlines() if line.startswith("#")]
     keys = [line.split("=")[0].strip("# ") for line in footer]
@@ -130,7 +129,7 @@ def test_propagate_diagnostics_footer(capsys):
 def test_propagate_excited_input_has_no_oracle_line(capsys):
     status, out, _ = run_cli(
         ["propagate", "--lattice", "uniform", "--zmax", "0.5", "--dim", "32",
-         "--input-waveguide", "3", "--samples", "5", "--steps-per-sample", "10"], capsys)
+         "--input-waveguide", "3", "--samples", "5"], capsys)
     assert status == 0
     footer = [line for line in out.splitlines() if line.startswith("#")]
     assert all("oracle" not in line for line in footer)
@@ -216,3 +215,54 @@ def test_repeat_runs_are_byte_identical(capsys):
     _, first, _ = run_cli(argv, capsys)
     _, second, _ = run_cli(argv, capsys)
     assert first.encode() == second.encode()
+
+
+def test_propagate_keeps_the_closed_form_zeros(capsys):
+    # E_m(z) is i^m times a real number: even guides have no imaginary part
+    # and odd guides no real part, and those cells must print exactly 0.0
+    status, out, _ = run_cli(
+        ["propagate", "--lattice", "uniform", "--input-waveguide", "0", "--zmax", "5",
+         "--dim", "64"], capsys)
+    assert status == 0
+    rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 201 * 64
+    for _z, guide, re_part, im_part, _abs2 in rows:
+        assert (im_part if int(guide) % 2 == 0 else re_part) == "0.0"
+    # round-off in those cells would grow this output by about 240 kB
+    assert len(out.encode()) <= 790_246
+
+
+@pytest.mark.parametrize("command,lattice", [("propagate", "uniform"), ("impulse", "su11")])
+@pytest.mark.parametrize("zmax", ["nan", "inf"])
+def test_non_finite_zmax_is_a_range_error(command, lattice, zmax, capsys):
+    argv = [command, "--lattice", lattice, "--zmax", zmax, "--dim", "16"]
+    if command == "propagate":
+        argv += ["--input-waveguide", "1"]
+    status, out, err = run_cli(argv, capsys)
+    assert status == 3 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--family", "phase", "--phi", "nan", "--dim", "4"],
+    ["state", "--family", "phase", "--phi", "inf", "--dim", "4"],
+    ["state", "--family", "su11", "--alpha", "1", "--k", "1e308", "--dim", "4"],
+    ["state", "--family", "su11", "--alpha", "1", "--k", "inf", "--dim", "4"],
+    ["state", "--family", "su11", "--alpha", "nan", "--dim", "4"],
+])
+def test_non_finite_state_parameters_fail(argv, capsys):
+    status, out, err = run_cli(argv, capsys)
+    assert status in (3, 6) and out == "" and "error:" in err
+
+
+def test_verify_with_no_retained_levels_is_a_dimension_error(capsys):
+    status, _, err = run_cli(["verify", "--suite", "all", "--dim", "2"], capsys)
+    assert status == 3 and "error:" in err
+
+
+def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    status, out, err = run_cli(
+        ["state", "--family", "phase", "--phi", "0", "--dim", "4", "--output", str(target)],
+        capsys)
+    assert status == 2 and out == "" and "error:" in err
+    assert not target.exists()

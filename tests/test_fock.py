@@ -33,10 +33,10 @@ def test_number_operator():
 
 def test_apply():
     v = np.array([0, 0, 1, 0], dtype=complex)
-    assert np.allclose(fock.apply(fock.identity(4), v), v)
+    assert np.allclose(fock.identity(4).apply(v), v)
     zero = TruncatedOperator(np.zeros((4, 4)))
-    assert np.allclose(fock.apply(zero, v), np.zeros(4))
-    out = fock.apply(fock.annihilation(4), v)
+    assert np.allclose(zero.apply(v), np.zeros(4))
+    out = fock.annihilation(4).apply(v)
     assert np.allclose(out, [0, np.sqrt(2), 0, 0])
 
 
@@ -64,7 +64,7 @@ def test_dimension_validation():
     with pytest.raises(DimensionError):
         fock.annihilation(1)
     with pytest.raises(DimensionError):
-        fock.apply(fock.identity(4), np.zeros(5, dtype=complex))
+        fock.identity(4).apply(np.zeros(5, dtype=complex))
     with pytest.raises(DimensionError):
         fock.commutator(fock.identity(4), fock.identity(5))
     with pytest.raises(DimensionError):
