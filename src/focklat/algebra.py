@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from . import fock
 from .errors import (
@@ -426,6 +427,38 @@ def verify_bch(params, dim, edge_exclude=None, guard=None):
     return _block_residual(lhs, rhs, keep)
 
 
+def shift_exponential(alpha, dim):
+    """exp(alpha (Vdag - V)) on an N-level space, as a real matrix.
+
+    Vdag - V is real and skew-symmetric, so the exponential is taken in
+    real arithmetic by scaling and squaring with a Pade approximant
+    (``scipy.linalg.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
+    31, 2009); no eigendecomposition is involved.
+    """
+    n = np.arange(1, dim)
+    gen = np.zeros((dim, dim))
+    gen[n, n - 1] = alpha
+    gen[n - 1, n] = -alpha
+    return scipy.linalg.expm(gen)
+
+
+def _rotated_spectral(alpha, dim):
+    """exp(-i pi n/2) exp(i alpha (Vdag + V)) exp(i pi n/2) on N levels.
+
+    The middle factor is U diag(exp(i alpha lam)) U^T from one
+    ``scipy.linalg.eigh_tridiagonal`` decomposition of the unit
+    off-diagonal matrix Vdag + V, its real and imaginary parts formed by
+    two real products; at alpha = 0 it is the identity exactly.
+    """
+    if alpha == 0.0:
+        mid = np.eye(dim)
+    else:
+        lam, u = scipy.linalg.eigh_tridiagonal(np.zeros(dim), np.ones(dim - 1))
+        mid = (u * np.cos(alpha * lam)) @ u.T + 1j * ((u * np.sin(alpha * lam)) @ u.T)
+    rot = np.exp(-0.5j * np.pi * np.arange(dim))
+    return (rot[:, None] * mid) * rot.conj()[None, :]
+
+
 def rotation_conjugation_check(alpha, dim, edge_exclude=None):
     """Residual of the quarter-turn conjugation identity
 
@@ -433,15 +466,37 @@ def rotation_conjugation_check(alpha, dim, edge_exclude=None):
 
     for real ``alpha``, compared entrywise on the leading block with the
     same normalisation as :func:`verify_bch`.
+
+    The two sides come from independent real-arithmetic methods.  The left
+    exponential is spectral: Vdag + V is the real symmetric tridiagonal
+    matrix with unit off-diagonals, decomposed once by
+    ``scipy.linalg.eigh_tridiagonal`` (LAPACK MRRR), and the rotation is
+    then applied to it numerically (:func:`_rotated_spectral`).  The right
+    side is the Pade exponential of the real skew-symmetric Vdag - V
+    (:func:`shift_exponential`).  Neither side goes through the other's
+    method or through the conjugation by diag(i^m): that conjugation is
+    the identity under test.  At alpha = 0 both sides are exactly the
+    identity and the residual is 0.
+
+    Raises
+    ------
+    DimensionError
+        For dim < 2 or an edge exclusion outside [0, dim).
+    RangeError
+        For a dimension above ``fock.MAX_DIM``, a non-finite alpha, or
+        |alpha| > dim / 8.
     """
     dim = int(dim)
+    if dim < 2:
+        raise DimensionError(f"need dimension >= 2, got {dim}")
+    if dim > fock.MAX_DIM:
+        raise RangeError(f"dimension {dim} exceeds {fock.MAX_DIM}")
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise RangeError(f"alpha must be finite, got {alpha}")
     if abs(alpha) > dim / 8:
         raise RangeError(f"|alpha| = {abs(alpha)} too large for dimension {dim} (need <= dim/8)")
     b = math.ceil(dim / 4) if edge_exclude is None else int(edge_exclude)
-    ph = phase_operators(dim)
-    rot = np.exp(-0.5j * np.pi * np.arange(dim))
-    mid = fock.expm(ph.vdag + ph.v, 1j * alpha).mat
-    lhs = (rot[:, None] * mid) * rot.conj()[None, :]
-    rhs = fock.expm(ph.vdag - ph.v, alpha).mat
-    return _block_residual(lhs, rhs, dim - b)
+    if not 0 <= b < dim:
+        raise DimensionError(f"edge exclusion {b} outside [0, {dim})")
+    return _block_residual(_rotated_spectral(alpha, dim), shift_exponential(alpha, dim), dim - b)

@@ -10,11 +10,16 @@ Options may also come from a flat ``key = value`` config file passed with
 ``--config``; explicit flags win over file values.  Exit codes: 0 success
 (all residuals within tolerance for the checking commands), 2 usage,
 3 range or precondition violation, 4 Bessel-root singularity,
-5 truncation overflow, 6 numeric failure.
+5 truncation overflow, 6 numeric failure (an exhausted memory included).
+
+``--dim`` is at most ``fock.MAX_DIM`` (4096) levels or guides for every
+command, checked before anything of that size is allocated; ``bch-check``
+keeps its own limit of 1024.  A larger value exits 3.
 """
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, checks, fock, lattice, states
-from .errors import FocklatError, UsageError
+from .errors import FocklatError, NumericError, RangeError, UsageError
 
 _COMMANDS = ("state", "impulse", "propagate", "bch-check", "verify")
 
@@ -211,6 +216,8 @@ def parse_args(argv):
 
 
 def _validate(command, params):
+    if params["dim"] > fock.MAX_DIM:
+        raise RangeError(f"--dim {params['dim']} exceeds {fock.MAX_DIM}")
     if command == "state":
         family = params["family"]
         if family not in _STATE_FAMILIES:
@@ -231,6 +238,8 @@ def _validate(command, params):
     elif command == "bch-check":
         if params["ordering"] not in ("antinormal", "normal"):
             raise UsageError("ordering must be 'antinormal' or 'normal'")
+        if not (math.isfinite(params["tol"]) and params["tol"] >= 0):
+            raise UsageError(f"tol must be finite and non-negative, got {params['tol']}")
     elif command == "verify":
         if params["suite"] not in (*checks.SUITES, "all"):
             raise UsageError(f"suite must be one of {sorted(checks.SUITES)} or 'all'")
@@ -287,16 +296,15 @@ def _run_impulse(params):
     if samples < 1:
         raise UsageError("samples must be positive")
     header = ["z", "guide", "re", "im", "abs2"]
+    zs = [params["zmax"] * s / samples for s in range(1, samples + 1)]
+    profiles = lattice.impulse_profiles(spec, zs)
     rows = []
-    profile = None
-    for s in range(1, samples + 1):
-        z = params["zmax"] * s / samples
-        profile = lattice.impulse_profile(spec, z)
+    for z, profile in zip(zs, profiles):
         rows.extend(
             [_f(z), guide, _f(c.real), _f(c.imag), _f(abs(c) ** 2)]
             for guide, c in enumerate(profile)
         )
-    diagnostics = {"normalization_last_z": _f(np.sum(np.abs(profile) ** 2))}
+    diagnostics = {"normalization_last_z": _f(np.sum(np.abs(profiles[-1]) ** 2))}
     return header, rows, diagnostics, 0
 
 
@@ -410,6 +418,9 @@ def main(argv=None):
     except FocklatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return NumericError.exit_code
 
 
 def entrypoint():

@@ -11,7 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, RangeError
+
+# Largest dimension of any truncated space or lattice.  A dense complex
+# 4096 x 4096 matrix takes 268 MB; the ceiling is checked before anything
+# of that size is allocated.
+MAX_DIM = 4096
 
 
 def _as_state(vec, dim=None):
@@ -26,6 +31,8 @@ def _as_state(vec, dim=None):
 def _check_dim(dim):
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise DimensionError(f"truncated space needs dimension >= 2, got {dim!r}")
+    if dim > MAX_DIM:
+        raise RangeError(f"dimension {dim} exceeds {MAX_DIM}")
     return int(dim)
 
 

@@ -42,19 +42,35 @@ def _start_order(m, x):
     return m + max(50, int(math.ceil(2.5 * abs(x))))
 
 
-def _miller_j(m_max, x):
-    """All of J_0(x)..J_{m_max}(x) from one downward pass; requires x > 0."""
-    start = _start_order(m_max, x)
-    if start % 2:
-        start += 1
-    f = np.zeros(start + 2)
-    f[start] = 1e-300
-    for k in range(start, 0, -1):
-        f[k - 1] = (2.0 * k / x) * f[k] - f[k + 1]
-        if abs(f[k - 1]) > _RESCALE:
-            f *= 1.0 / _RESCALE
-    s = f[0] + 2.0 * f[2::2].sum()
-    return f[: m_max + 1] / s
+def _miller_j(m_max, xs):
+    """J_0..J_{m_max} at every x of ``xs`` (all > 0) from one downward pass.
+
+    Row i is seeded at its own start order and rescaled on its own, so it
+    is bitwise the single-argument recurrence at xs[i]; the rows only share
+    the loop over k.  Rows are taken in order of falling start, so the rows
+    under way at step k are a leading block.
+    """
+    starts = np.array([_start_order(m_max, x) for x in xs])
+    starts += starts % 2
+    order = np.argsort(-starts, kind="stable")
+    starts, xs = starts[order], xs[order]
+    f = np.zeros((len(xs), starts[0] + 2))
+    f[np.arange(len(xs)), starts] = 1e-300
+    live = 0
+    for k in range(starts[0], 0, -1):
+        while live < len(xs) and starts[live] >= k:
+            live += 1
+        col = f[:live, k - 1]
+        np.divide(2.0 * k, xs[:live], out=col)
+        col *= f[:live, k]
+        col -= f[:live, k + 1]
+        if np.abs(col).max() > _RESCALE:
+            f[:live][np.abs(col) > _RESCALE] *= 1.0 / _RESCALE
+    # each row's own sum, so numpy's pairwise order matches the scalar one
+    s = np.array([row[0] + 2.0 * row[2:start + 1:2].sum() for row, start in zip(f, starts)])
+    out = np.empty((len(xs), m_max + 1))
+    out[order] = f[:, : m_max + 1] / s[:, None]
+    return out
 
 
 def _miller_i(m_max, x):
@@ -85,37 +101,52 @@ def _i_series(m, x):
     return s
 
 
-def bessel_j_all(m_max, x):
-    """Evaluate J_0(x) .. J_{m_max}(x) in a single downward pass.
+def bessel_j_rows(m_max, xs):
+    """Evaluate J_0(x) .. J_{m_max}(x) at every argument of ``xs``.
+
+    One downward Miller pass runs over all arguments at once; each keeps
+    its own start order and rescaling, so row i is bitwise what a pass at
+    xs[i] alone gives, and :func:`bessel_j_all` is the one-row case.
 
     Parameters
     ----------
     m_max : int
         Highest order.  The certified 1e-12 accuracy holds through order
         200; beyond that, deep-tail values may underflow to zero.
-    x : float
-        Argument with |x| <= 50.  Negative arguments are folded back with
-        the parity J_m(-x) = (-1)^m J_m(x).
+    xs : array_like
+        One-dimensional arguments with |x| <= 50.  Negative arguments are
+        folded back with the parity J_m(-x) = (-1)^m J_m(x).
 
     Returns
     -------
     ndarray
-        Values for orders 0..m_max.
+        Shape (len(xs), m_max + 1); row i holds orders 0..m_max at xs[i].
     """
     if not isinstance(m_max, (int, np.integer)) or m_max < 0:
         raise RangeError(f"order must be a non-negative integer, got {m_max!r}")
-    x = float(x)
-    if not abs(x) <= MAX_ARGUMENT:
-        raise RangeError(f"|argument| {abs(x)} exceeds supported maximum {MAX_ARGUMENT}")
-    if x == 0.0:
-        out = np.zeros(m_max + 1)
-        out[0] = 1.0
-        return out
-    vals = _miller_j(m_max, abs(x))
-    if x < 0.0:
-        vals = vals.copy()
-        vals[1::2] *= -1.0
-    return vals
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise RangeError(f"arguments must be one-dimensional, got shape {xs.shape}")
+    over = ~(np.abs(xs) <= MAX_ARGUMENT)
+    if over.any():
+        raise RangeError(f"|argument| {abs(xs[over][0])} exceeds supported maximum "
+                         f"{MAX_ARGUMENT}")
+    out = np.zeros((len(xs), m_max + 1))
+    out[xs == 0.0, 0] = 1.0
+    live = xs != 0.0
+    if live.any():
+        out[live] = _miller_j(m_max, np.abs(xs[live]))
+    out[xs < 0.0, 1::2] *= -1.0
+    return out
+
+
+def bessel_j_all(m_max, x):
+    """Evaluate J_0(x) .. J_{m_max}(x) in a single downward pass.
+
+    The one-argument case of :func:`bessel_j_rows`, with the same order
+    and argument range.
+    """
+    return bessel_j_rows(m_max, [float(x)])[0]
 
 
 def bessel_j(m, x):

@@ -1,9 +1,11 @@
 """Constructors for the coherent-state families and their residual checks.
 
 Each family comes in a direct amplitude form and, where applicable, an
-ordered-exponential form built with the matrix exponential in an enlarged
+ordered-exponential form built with a matrix exponential in an enlarged
 working space ("guard" levels) so truncation does not contaminate the
-retained amplitudes.  ``eigen_residual`` gives a uniform way to test the
+retained amplitudes: the complex ``fock.expm`` for the phase and BG
+products, the real exponential of the skew-symmetric Vdag - V
+(:func:`algebra.shift_exponential`) for the London state.  ``eigen_residual`` gives a uniform way to test the
 eigenvalue relations the states satisfy.
 """
 
@@ -14,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import fock, specfun
-from .algebra import phase_operators, su11_generators
+from .algebra import phase_operators, shift_exponential, su11_generators
 from .errors import BesselRootError, DimensionError, NumericError, RangeError
 from .fock import TruncatedOperator
 
@@ -43,6 +45,8 @@ class StateSpec:
 def _check_dim(dim):
     if not isinstance(dim, (int, np.integer)) or dim < 2:
         raise DimensionError(f"state needs dimension >= 2, got {dim!r}")
+    if dim > fock.MAX_DIM:
+        raise RangeError(f"state dimension {dim} exceeds {fock.MAX_DIM}")
     return int(dim)
 
 
@@ -141,7 +145,14 @@ def london_state(alpha, dim):
 
 
 def london_state_ordered(alpha, dim, guard=None):
-    """London state via exp(alpha (Vdag - V)) |0> in a guarded space."""
+    """London state via exp(alpha (Vdag - V)) |0> in a guarded space.
+
+    The state is column 0 of the real exponential of the skew-symmetric
+    alpha (Vdag - V) on dim + guard levels (:func:`shift_exponential`),
+    cut back to dim and cast to complex.  The default guard,
+    ceil(2 e |alpha|) + 32 levels, keeps the reflection from the top of
+    the working space out of the retained amplitudes.
+    """
     dim = _check_dim(dim)
     if complex(alpha).imag != 0.0:
         raise RangeError("london_state takes a real parameter")
@@ -149,9 +160,7 @@ def london_state_ordered(alpha, dim, guard=None):
     _check_alpha(alpha)
     if guard is None:
         guard = int(math.ceil(2.0 * abs(alpha) * math.e)) + 32
-    ph = phase_operators(dim + int(guard))
-    u = fock.expm(ph.vdag - ph.v, alpha).apply(fock.vacuum(dim + int(guard)))
-    return u[:dim]
+    return shift_exponential(alpha, dim + int(guard))[:dim, 0].astype(complex)
 
 
 def deformed_annihilation(alpha, dim, root_tol=1e-10):

@@ -3,7 +3,13 @@ import pytest
 
 from focklat import algebra, fock
 from focklat.algebra import BCHParams, Ordering
-from focklat.errors import BranchError, FocklatError, RangeError, SingularParameterError
+from focklat.errors import (
+    BranchError,
+    DimensionError,
+    FocklatError,
+    RangeError,
+    SingularParameterError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +234,33 @@ def test_rotation_conjugation():
 def test_rotation_conjugation_range_guard():
     with pytest.raises(RangeError):
         algebra.rotation_conjugation_check(3.0, 16)
+
+
+@pytest.mark.parametrize("alpha,dim", [(1.0, 64), (3.0, 256), (-2.0, 64)])
+def test_rotation_sides_match_dense_exponentials(alpha, dim):
+    # each side alone against the complex Pade exponentials it replaces, so a
+    # fault common to both sides cannot hide in the residual
+    ph = algebra.phase_operators(dim)
+    rot = np.exp(-0.5j * np.pi * np.arange(dim))
+    left = (rot[:, None] * fock.expm(ph.vdag + ph.v, 1j * alpha).mat) * rot.conj()[None, :]
+    right = fock.expm(ph.vdag - ph.v, alpha).mat
+    for side, ref in ((algebra._rotated_spectral(alpha, dim), left),
+                      (algebra.shift_exponential(alpha, dim), right)):
+        assert np.all(np.abs(side - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+@pytest.mark.parametrize("edge_exclude", [64, 70, -1])
+def test_rotation_conjugation_edge_exclusion_range(edge_exclude):
+    with pytest.raises(DimensionError):
+        algebra.rotation_conjugation_check(1.0, 64, edge_exclude=edge_exclude)
+
+
+@pytest.mark.parametrize("alpha,dim,error", [
+    (0.1, 1, DimensionError),
+    (float("nan"), 64, RangeError),
+    (float("inf"), 64, RangeError),
+    (1.0, fock.MAX_DIM + 1, RangeError),
+])
+def test_rotation_conjugation_rejects_bad_input(alpha, dim, error):
+    with pytest.raises(error):
+        algebra.rotation_conjugation_check(alpha, dim)

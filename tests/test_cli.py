@@ -266,3 +266,29 @@ def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
         capsys)
     assert status == 2 and out == "" and "error:" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_bch_check_rejects_bad_tolerance(tol, capsys):
+    status, out, err = run_cli(
+        ["bch-check", "--xplus", "0.1", "--xzero", "1", "--xminus", "0.1", "--tol", tol], capsys)
+    assert status == 2 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--family", "london", "--alpha", "1", "--dim", "100000000000"],
+    ["impulse", "--lattice", "su11", "--zmax", "1", "--dim", "4097"],
+])
+def test_dimension_ceiling_is_a_range_error(argv, capsys):
+    # refused by the ceiling before numpy is asked for memory
+    status, out, err = run_cli(argv, capsys)
+    assert status == 3 and out == "" and "error:" in err
+
+
+def test_memory_error_is_a_numeric_failure(monkeypatch, capsys):
+    def exhausted(spec):
+        raise MemoryError("simulated")
+
+    monkeypatch.setattr(cli.states, "build_state", exhausted)
+    status, out, err = run_cli(["state", "--family", "phase", "--phi", "0", "--dim", "4"], capsys)
+    assert status == 6 and out == "" and "error:" in err

@@ -145,3 +145,39 @@ def test_analytic_profile_normalisation():
     mtop = int(np.ceil(30.0 / (2.0 * abs(np.log(np.tanh(z)))))) + 10
     prof = lattice.impulse_profile(LatticeSpec(LatticeKind.SU11, mtop), z)
     assert abs(np.sum(np.abs(prof) ** 2) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", list(LatticeKind))
+def test_impulse_profile_is_a_batched_row(kind):
+    spec = LatticeSpec(kind, 48)
+    zs = [0.0, 0.005, 0.3, 1.7, 4.0, 9.5]
+    rows = lattice.impulse_profiles(spec, zs)
+    assert rows.shape == (len(zs), 48)
+    for z, row in zip(zs, rows):
+        assert np.array_equal(lattice.impulse_profile(spec, z), row)
+
+
+def test_compare_to_oracle_is_the_worst_sample():
+    spec = LatticeSpec(LatticeKind.UNIFORM, 32)
+    res = lattice.propagate(spec, fock.vacuum(32), zmax=2.0, samples=30)
+    worst = max(float(np.abs(f[:31] - lattice.impulse_profile(spec, float(z))[:31]).max())
+                for z, f in zip(res.z_grid, res.fields))
+    assert lattice.compare_to_oracle(res, spec) == worst
+
+
+def test_impulse_profiles_reject_bad_z():
+    spec = LatticeSpec(LatticeKind.UNIFORM, 8)
+    for bad in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(RangeError):
+            lattice.impulse_profiles(spec, [0.5, bad])
+
+
+def test_matrix_methods_have_a_dimension_ceiling():
+    # the closed form is O(N) and takes long arrays; matrix methods stop at
+    # MAX_DIM before allocating
+    big = LatticeSpec(LatticeKind.UNIFORM, 10**9)
+    with pytest.raises(RangeError):
+        lattice.build_hamiltonian(big)
+    spec = LatticeSpec(LatticeKind.SU11, fock.MAX_DIM + 1)
+    with pytest.raises(RangeError):
+        lattice.propagate(spec, np.eye(1, spec.dim, dtype=complex)[0], zmax=0.1)

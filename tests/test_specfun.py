@@ -108,3 +108,41 @@ def test_high_order_tail_underflows_to_zero():
     assert vals[0] == pytest.approx(float(series_j(0, 1.0)), rel=1e-13)
     assert np.all(np.isfinite(vals))
     assert abs(vals[399]) < 1e-300
+
+
+def _scalar_miller_j(m_max, x):
+    """The single-argument downward recurrence, and whether it rescaled."""
+    start = specfun._start_order(m_max, x)
+    start += start % 2
+    f = np.zeros(start + 2)
+    f[start] = 1e-300
+    rescaled = False
+    for k in range(start, 0, -1):
+        f[k - 1] = (2.0 * k / x) * f[k] - f[k + 1]
+        if abs(f[k - 1]) > specfun._RESCALE:
+            f *= 1.0 / specfun._RESCALE
+            rescaled = True
+    return f[: m_max + 1] / (f[0] + 2.0 * f[2::2].sum()), rescaled
+
+
+@pytest.mark.parametrize("m_max", [1, 64, 200])
+def test_batched_rows_are_bitwise_the_scalar_recurrence(m_max):
+    xs = np.concatenate([np.geomspace(0.001, 50.0, 40), -np.geomspace(0.02, 30.0, 7), [0.0]])
+    rows = specfun.bessel_j_rows(m_max, xs)
+    assert rows.shape == (len(xs), m_max + 1)
+    rescaled = False
+    for x, row in zip(xs, rows):
+        assert np.array_equal(row, specfun.bessel_j_all(m_max, x))
+        if x != 0.0:
+            ref, hit = _scalar_miller_j(m_max, abs(x))
+            assert np.array_equal(row, ref * np.where(x < 0, -1.0, 1.0) ** np.arange(m_max + 1))
+            rescaled |= hit
+    # from order 64 up, the smallest arguments go through the rescale branch
+    assert rescaled == (m_max >= 64)
+
+
+def test_batched_rows_range_errors():
+    with pytest.raises(RangeError):
+        specfun.bessel_j_rows(4, [1.0, 50.5])
+    with pytest.raises(RangeError):
+        specfun.bessel_j_rows(4, [float("nan")])

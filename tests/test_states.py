@@ -91,6 +91,25 @@ def test_london_state_ordered_form():
     assert np.abs(direct - ordered).max() <= 1e-9
 
 
+@pytest.mark.parametrize("alpha,dim", [(2.0, 32), (-2.7, 64), (0.4, 48), (3.0, 64)])
+def test_london_ordered_matches_complex_expm(alpha, dim):
+    # the real exponential's column against the complex Pade route it replaces
+    guard = int(math.ceil(2.0 * abs(alpha) * math.e)) + 32
+    ph = algebra.phase_operators(dim + guard)
+    ref = fock.expm(ph.vdag - ph.v, alpha).apply(fock.vacuum(dim + guard))[:dim]
+    assert np.abs(states.london_state_ordered(alpha, dim) - ref).max() <= 1e-14
+
+
+def test_dimension_ceiling():
+    # rejected before any array of that size is asked for
+    with pytest.raises(RangeError):
+        states.london_state(1.0, 10**11)
+    with pytest.raises(RangeError):
+        states.phase_state(0.0, fock.MAX_DIM + 1)
+    with pytest.raises(RangeError):
+        fock.number(fock.MAX_DIM + 1)
+
+
 def test_deformed_annihilation_eigenvalue():
     for alpha in (0.5, 1.3, 2.0):
         vec = states.london_state(alpha, 64)
