@@ -18,7 +18,7 @@ print(f"phase state, phi = {phi}, {dim} levels")
 print(f"  |c_0|       = {abs(direct[0]):.10f}  (every level carries 1/sqrt(2 pi))")
 print(f"  norm^2      = {fl.norm_sq(direct):.10f}  (= dim / 2 pi, not normalised)")
 
-ordered = fl.phase_state_perelomov(phi, dim, guard=96)
+ordered = fl.phase_state_perelomov(phi, dim)
 print(f"  |direct - ordered product|_max = {np.abs(direct - ordered).max():.3e}")
 
 # the ordered product only works because exp(xi K-) fixes the vacuum

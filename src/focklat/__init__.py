@@ -4,11 +4,16 @@ and classical light propagation in coupled-waveguide lattices.
 Subpackages
 -----------
 ``specfun``   Bessel J/I evaluators with certified accuracy.
-``fock``      Dense truncated-space vectors, ladder operators, expm.
+``fock``      Dense truncated-space vectors, ladder operators, the dense
+              ``expm`` reference.
 ``algebra``   SU(1,1) generators, phase operators, reordering maps.
 ``states``    Phase, Barut-Girardello, London and displaced-vacuum states.
 ``lattice``   Waveguide-array Hamiltonians, exact spectral propagation, closed forms.
 ``checks``    Named verification suites (also behind ``focklat verify``).
+
+Importing the package does not load ``scipy.linalg``; the few functions
+that use it (``expm``, ``propagate``, the rotation check and the London
+ordered form) import it on their first call.
 """
 
 from . import algebra, checks, errors, fock, lattice, specfun, states

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from . import fock
 from .errors import (
@@ -435,6 +434,8 @@ def shift_exponential(alpha, dim):
     (``scipy.linalg.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
     31, 2009); no eigendecomposition is involved.
     """
+    import scipy.linalg
+
     n = np.arange(1, dim)
     gen = np.zeros((dim, dim))
     gen[n, n - 1] = alpha
@@ -450,6 +451,8 @@ def _rotated_spectral(alpha, dim):
     off-diagonal matrix Vdag + V, its real and imaginary parts formed by
     two real products; at alpha = 0 it is the identity exactly.
     """
+    import scipy.linalg
+
     if alpha == 0.0:
         mid = np.eye(dim)
     else:

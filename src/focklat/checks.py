@@ -122,7 +122,7 @@ def suite_states(dim=64, seed=12345):
 
     phi = 0.7
     direct = states.phase_state(phi, dim)
-    ordered = states.phase_state_perelomov(phi, dim, guard=96)
+    ordered = states.phase_state_perelomov(phi, dim)
     out.append(CheckResult("phase-state-forms", float(np.abs(direct - ordered).max()), 1e-8))
     ph = algebra.phase_operators(dim)
     out.append(CheckResult("phase-state-eigenvalue",

@@ -9,7 +9,6 @@ artifacts; checks can use it to stay clear of the boundary.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, NumericError, RangeError
 
@@ -153,12 +152,17 @@ def commutator(a, b):
 
 
 def expm(op, scale=1.0):
-    """Matrix exponential exp(scale * op).
+    """Matrix exponential exp(scale * op), the tests' dense reference.
 
     Uses scaling-and-squaring with a Pade approximant, so non-normal
     inputs (the raising/lowering generators) are handled correctly; no
-    eigendecomposition is involved.
+    eigendecomposition is involved.  No library path calls it: the
+    library's exponentials are nilpotent ladder sums, diagonals, or
+    tridiagonal and real skew-symmetric ones with their own methods.
+    ``scipy.linalg`` is loaded on the first call.
     """
+    import scipy.linalg
+
     scale = complex(scale)
     if not np.all(np.isfinite(op.mat.view(float))) or not np.isfinite(abs(scale)):
         raise NumericError("operator contains non-finite entries")

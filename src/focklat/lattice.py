@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from . import specfun
 from .errors import (
@@ -134,6 +133,8 @@ def propagate(spec, input_field, zmax, samples=200):
         If the squared amplitude at the last guide exceeds ``LEAKAGE_LIMIT``
         at any sample; rerun with a larger array.
     """
+    import scipy.linalg
+
     v = np.asarray(input_field, dtype=complex).copy()
     if v.shape != (spec.dim,):
         raise DimensionError(f"input has shape {v.shape}, expected ({spec.dim},)")
@@ -185,6 +186,13 @@ def propagate(spec, input_field, zmax, samples=200):
                              edge_leakage=float(edge[-1]))
 
 
+def _sech(x):
+    try:
+        return 1.0 / math.cosh(x)
+    except OverflowError:  # x past ~710.5, where sech x = 2 e^-x in double precision
+        return 2.0 * math.exp(-x)
+
+
 def impulse_profiles(spec, zs):
     """Closed-form response of all guides to unit input at guide 0, at every z.
 
@@ -206,7 +214,7 @@ def impulse_profiles(spec, zs):
     if spec.kind is LatticeKind.SU11:
         # math.cosh and math.tanh per z: numpy's can differ in the last bit,
         # and the CLI prints these values with every digit
-        sech = np.array([1.0 / math.cosh(x) for x in z])
+        sech = np.array([_sech(x) for x in z])
         tanh = np.array([math.tanh(x) for x in z])
         out[live] = sech[:, None] * (1j * tanh[:, None]) ** m
     else:

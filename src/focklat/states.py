@@ -1,12 +1,19 @@
 """Constructors for the coherent-state families and their residual checks.
 
 Each family comes in a direct amplitude form and, where applicable, an
-ordered-exponential form built with a matrix exponential in an enlarged
-working space ("guard" levels) so truncation does not contaminate the
-retained amplitudes: the complex ``fock.expm`` for the phase and BG
-products, the real exponential of the skew-symmetric Vdag - V
-(:func:`algebra.shift_exponential`) for the London state.  ``eigen_residual`` gives a uniform way to test the
-eigenvalue relations the states satisfy.
+ordered-exponential form.  The phase and BG ordered products are
+normal-ordered: a raising (lower-triangular) exponential, a diagonal one
+and a lowering (upper-triangular) one, acting on the vacuum.  A lowering
+factor maps the first dim levels into themselves and a raising one never
+moves a higher level down into them, so the product of the factors
+truncated to dim levels gives exactly the first dim amplitudes of the
+untruncated product: no guard levels are needed.  Their ladder factors are
+nilpotent, so each exponential is a finite Taylor sum, applied term by
+term as a ladder shift (:func:`_ladder_exp`).  The London state,
+exp(alpha (Vdag - V))|0>, mixes raising and lowering and is the real
+exponential of the skew-symmetric Vdag - V on a guarded space
+(:func:`algebra.shift_exponential`).  ``eigen_residual`` gives a uniform
+way to test the eigenvalue relations the states satisfy.
 """
 
 import math
@@ -16,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import fock, specfun
-from .algebra import phase_operators, shift_exponential, su11_generators
+from .algebra import shift_exponential
 from .errors import BesselRootError, DimensionError, NumericError, RangeError
 from .fock import TruncatedOperator
 
@@ -69,23 +76,48 @@ def phase_state(phi, dim):
     return np.exp(1j * phi * (j + 0.5)) / math.sqrt(_TWO_PI)
 
 
-def phase_state_perelomov(phi, dim, guard=96):
+def _ladder_exp(vec, x, weights, raising):
+    """exp(x L) vec for the ladder L|n> = weights[n] |n +- 1> on len(vec) levels.
+
+    ``raising`` picks |n + 1> (the top level is shifted out) or |n - 1>
+    (level 0 is).  L is nilpotent, so the Taylor sum is finite: its terms
+    x^j L^j vec / j! are formed one shift at a time, and the sum stops at
+    the first term that is exactly zero.
+    """
+    out = vec.copy()
+    term = vec
+    for j in range(1, len(vec)):
+        step = np.zeros_like(term)
+        if raising:
+            step[1:] = term[:-1] * (weights[:-1] / j)
+        else:
+            step[:-1] = term[1:] * (weights[1:] / j)
+        term = step * x
+        if not term.any():
+            break
+        out += term
+    return out
+
+
+def phase_state_perelomov(phi, dim):
     """Phase state built as an ordered product of group exponentials,
 
         (1/sqrt(2 pi)) exp(e^{i phi} K+) exp(i phi K0) exp(-e^{-i phi} K-) |0>,
 
-    evaluated with three matrix exponentials in dim + guard levels and cut
-    back to dim.  Agrees with :func:`phase_state` on the retained block.
+    on exactly dim levels.  The product is raising times diagonal times
+    lowering on the vacuum, so its truncation is exact (module docstring).
+    exp(i phi K0) is the exponentials of its diagonal, and the K- and K+
+    factors are finite ladder sums (:func:`_ladder_exp`).  Agrees with
+    :func:`phase_state` to rounding.
     """
     dim = _check_dim(dim)
-    if guard < 1:
-        raise DimensionError(f"guard must be positive, got {guard}")
-    gen = su11_generators(dim + int(guard))
-    u = fock.vacuum(dim + int(guard))
-    u = fock.expm(gen.kminus, -np.exp(-1j * phi)).apply(u)
-    u = fock.expm(gen.k0, 1j * phi).apply(u)
-    u = fock.expm(gen.kplus, np.exp(1j * phi)).apply(u)
-    return u[:dim] / math.sqrt(_TWO_PI)
+    if not np.isfinite(phi):
+        raise RangeError(f"phase-state angle must be finite, got {phi}")
+    n = np.arange(dim, dtype=float)
+    u = _ladder_exp(fock.vacuum(dim), -np.exp(-1j * phi), n, raising=False)  # <n-1|K-|n> = n
+    u = np.exp(1j * phi * (n + 0.5)) * u
+    u = _ladder_exp(u, np.exp(1j * phi), n + 1, raising=True)  # <n+1|K+|n> = n + 1
+    return u / math.sqrt(_TWO_PI)
 
 
 def bg_state(alpha, dim):
@@ -104,24 +136,21 @@ def bg_state(alpha, dim):
     return c / math.sqrt(specfun.bessel_i(0, 2.0 * abs(alpha)))
 
 
-def bg_state_ordered(alpha, dim, guard=None):
+def bg_state_ordered(alpha, dim):
     """Same state via the ordered product
 
         I_0(2|alpha|)^{-1/2} exp(alpha Vdag) exp(-conj(alpha) V) |0>,
 
-    built with matrix exponentials in dim + guard levels.  The default
-    guard keeps the discarded tail below the comparison tolerances for
-    the supported |alpha| range.
+    on exactly dim levels: raising times lowering on the vacuum, so the
+    truncation is exact (module docstring), and both factors are finite
+    ladder sums (:func:`_ladder_exp`).
     """
     dim = _check_dim(dim)
     alpha = _check_alpha(complex(alpha))
-    if guard is None:
-        guard = int(math.ceil(2.0 * abs(alpha) * math.e)) + 32
-    ph = phase_operators(dim + int(guard))
-    u = fock.vacuum(dim + int(guard))
-    u = fock.expm(ph.v, -np.conj(alpha)).apply(u)
-    u = fock.expm(ph.vdag, alpha).apply(u)
-    return u[:dim] / math.sqrt(specfun.bessel_i(0, 2.0 * abs(alpha)))
+    ones = np.ones(dim)
+    u = _ladder_exp(fock.vacuum(dim), -np.conj(alpha), ones, raising=False)
+    u = _ladder_exp(u, alpha, ones, raising=True)
+    return u / math.sqrt(specfun.bessel_i(0, 2.0 * abs(alpha)))
 
 
 def london_state(alpha, dim):

@@ -100,7 +100,7 @@ def test_criterion_04_phase_state_equivalence():
     worst_eig = 0.0
     for phi in (0.0, 0.7, 2.0, math.pi - 0.1):
         direct = states.phase_state(phi, 32)
-        ordered = states.phase_state_perelomov(phi, 32, guard=96)
+        ordered = states.phase_state_perelomov(phi, 32)
         worst_form = max(worst_form, float(np.abs(direct - ordered).max()))
         ph = algebra.phase_operators(32)
         worst_eig = max(worst_eig, states.eigen_residual(

@@ -114,6 +114,15 @@ def test_impulse_su11_row(capsys):
     assert float(first[4]) == pytest.approx(1.0 / math.cosh(1.0) ** 2, rel=1e-12)
 
 
+def test_impulse_su11_far_past_cosh_overflow(capsys):
+    status, out, _ = run_cli(["impulse", "--lattice", "su11", "--zmax", "800", "--dim", "8"],
+                             capsys)
+    assert status == 0
+    rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
+    assert len(rows) == 8
+    assert all(math.isfinite(float(value)) for row in rows for value in row)
+
+
 def test_propagate_diagnostics_footer(capsys):
     status, out, _ = run_cli(
         ["propagate", "--lattice", "uniform", "--zmax", "1", "--dim", "32",

@@ -165,6 +165,16 @@ def test_compare_to_oracle_is_the_worst_sample():
     assert lattice.compare_to_oracle(res, spec) == worst
 
 
+def test_su11_profile_past_cosh_overflow():
+    # cosh overflows past z ~ 710.5; the closed form sech z (i tanh z)^m has
+    # underflowed to 0 there
+    spec = LatticeSpec(LatticeKind.SU11, 8)
+    rows = lattice.impulse_profiles(spec, [700.0, 711.0, 800.0])
+    assert rows[0, 0] == pytest.approx(1.0 / math.cosh(700.0), rel=1e-15)
+    assert rows[1, 0] == pytest.approx(2.0 * math.exp(-711.0), rel=1e-15)
+    assert np.array_equal(rows[2], np.zeros(8))
+
+
 def test_impulse_profiles_reject_bad_z():
     spec = LatticeSpec(LatticeKind.UNIFORM, 8)
     for bad in (float("nan"), float("inf"), -0.5):

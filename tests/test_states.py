@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from focklat import algebra, fock, states
+from focklat import algebra, fock, specfun, states
 from focklat.errors import BesselRootError, DimensionError, RangeError
 
 from oracles import bisect_j_root, series_j
@@ -31,11 +31,61 @@ def test_phase_state_shift_eigenvalue():
     assert abs(defect[n - 1]) > 0.1 * abs(vec[0])
 
 
-@pytest.mark.parametrize("phi,dim,guard", [(0.0, 16, 48), (2.0, 32, 96)])
-def test_phase_state_ordered_form(phi, dim, guard):
+@pytest.mark.parametrize("phi,dim", [(0.0, 16), (2.0, 32)])
+def test_phase_state_ordered_form(phi, dim):
     direct = states.phase_state(phi, dim)
-    ordered = states.phase_state_perelomov(phi, dim, guard=guard)
+    ordered = states.phase_state_perelomov(phi, dim)
     assert np.abs(direct - ordered).max() <= 1e-8
+
+
+def _guarded_phase_state(phi, dim, guard=96):
+    # three dense exponentials on dim + guard levels, cut back to dim
+    gen = algebra.su11_generators(dim + guard)
+    u = fock.vacuum(dim + guard)
+    u = fock.expm(gen.kminus, -np.exp(-1j * phi)).apply(u)
+    u = fock.expm(gen.k0, 1j * phi).apply(u)
+    u = fock.expm(gen.kplus, np.exp(1j * phi)).apply(u)
+    return u[:dim] / math.sqrt(2 * math.pi)
+
+
+def _guarded_bg_state(alpha, dim):
+    guard = int(math.ceil(2.0 * abs(alpha) * math.e)) + 32
+    ph = algebra.phase_operators(dim + guard)
+    u = fock.vacuum(dim + guard)
+    u = fock.expm(ph.v, -np.conj(alpha)).apply(u)
+    u = fock.expm(ph.vdag, alpha).apply(u)
+    return u[:dim] / math.sqrt(specfun.bessel_i(0, 2.0 * abs(alpha)))
+
+
+@pytest.mark.parametrize("dim", [2, 16, 32, 64])
+@pytest.mark.parametrize("phi", [0.0, 0.7, 2.0, math.pi - 0.1, -2.5, math.pi])
+def test_phase_state_ordered_matches_guarded_expm(phi, dim):
+    # the truncated product is exact, so no guard levels are needed
+    ref = _guarded_phase_state(phi, dim)
+    assert np.abs(states.phase_state_perelomov(phi, dim) - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 8, 32, 64])
+@pytest.mark.parametrize("alpha", [0.0, 1.5, 0.4 - 1.1j, 3 - 2j, -7.5, 20.0j, -13 + 15j])
+def test_bg_state_ordered_matches_guarded_expm(alpha, dim):
+    ref = _guarded_bg_state(alpha, dim)
+    assert np.abs(states.bg_state_ordered(alpha, dim) - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("phi", [0.7, math.pi - 0.1, -3.0])
+def test_phase_state_ordered_at_the_dimension_ceiling(phi):
+    # both forms lose about dim ulps at the top level: the direct one rounds
+    # the angle phi (j + 1/2), the ordered one takes the j-th power of a
+    # rounded e^{i phi}
+    dim = fock.MAX_DIM
+    assert np.abs(states.phase_state_perelomov(phi, dim) - states.phase_state(phi, dim)).max() \
+        <= 2e-12
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf])
+def test_phase_state_perelomov_rejects_non_finite_angle(phi):
+    with pytest.raises(RangeError):
+        states.phase_state_perelomov(phi, 8)
 
 
 def test_lowering_exponential_fixes_vacuum():
@@ -65,7 +115,7 @@ def test_bg_state_ordered_form():
     assert np.array_equal(states.bg_state_ordered(0.0, 8), fock.vacuum(8))
     for alpha in (1.5, 0.4 - 1.1j):
         direct = states.bg_state(alpha, 32)
-        ordered = states.bg_state_ordered(alpha, 32, guard=64)
+        ordered = states.bg_state_ordered(alpha, 32)
         assert np.abs(direct - ordered).max() <= 1e-9
 
 
