@@ -19,15 +19,30 @@ nilpotent, so their exponentials are exact finite tables,
 
     <k+j|exp(x K+)|k> = C(k+j, j) x^j,   <n-j|exp(x K-)|n> = C(n, j) x^j,
 
-and exp(ln z K0) = diag(z^(k+1/2)).  Each product is therefore
-X diag(z^k) Y summed over the ladder index k: a finite sum (k <= min(m, n))
-for the normal-first side, an infinite one (k >= max(m, n)) for the
-antinormal-first side.  Their terms reach ~1e10 times the O(1) entries,
-so the tables are held in double-double arithmetic (Dekker, Numer. Math.
-18, 1971) and the sums are formed from error-free slice products in BLAS
-(Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012).  Neither side
-is rewritten through a hypergeometric transformation: that rewriting is
-the identity under test.
+and exp(ln z K0) = diag(z^(k+1/2)).  Each product is therefore a sum over
+the ladder index k: a finite one (k <= min(m, n)) for the normal-first
+side, an infinite one (k >= max(m, n)) for the antinormal-first side.
+The diagonal similarity C(i, j) x^(i-j) = x^i C(i, j) x^-j pulls every
+parameter power out of the Pascal table P = [C(i, j)], so that each side
+is an outer diagonal, a real Pascal product and an outer diagonal:
+
+    exp(B- K-) B0^K0 exp(B+ K+) = sqrt(B0) diag(B-^-m) [P^T diag(w^k) P] diag(B+^-n),
+    exp(A+ K+) A0^K0 exp(A- K-) = sqrt(A0) diag(A+^m) [P diag(u^k) P^T] diag(A-^n),
+
+with w = B+ B- B0 and u = A0 / (A+ A-).  Only the power vectors change
+with the parameters; a zero ladder parameter makes its factor the
+identity and the block a single term, C(m, n) between two diagonals.
+The inner terms reach ~1e10 times the O(1) entries, so w and u and their
+powers are held in double-double arithmetic (Dekker, Numer. Math. 18,
+1971) and the inner products are formed from error-free slice products
+in BLAS (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012), with
+P real on the right.  The outer diagonals only scale finished entries,
+so they are rounded to double.  Powers such as 0.3^-384 or (1e-8)^k
+leave double range although the entries do not, so every power is
+carried as a mantissa and an integer binary exponent, and the exponents
+enter only the power-of-two scalings of the slice products.  Neither
+side is rewritten through a hypergeometric transformation: that
+rewriting is the identity under test.
 """
 
 import cmath
@@ -118,18 +133,19 @@ def bch_antinormal_to_normal(b):
     """Map antinormal-ordered parameters (B side) to the normal ordering.
 
         A+- = B+- B0 / (1 - B+ B0 B-),   A0 = B0 / (1 - B+ B0 B-)^2
+
+    Raises :class:`RangeError` for non-finite parameters,
+    :class:`SingularParameterError` where the denominator vanishes and
+    :class:`NumericError` where an output over- or underflows.
     """
     if b.ordering is not Ordering.ANTINORMAL_FIRST:
         raise SingularParameterError("expected antinormal-first parameters")
+    _check_finite(b)
     den = 1.0 - b.plus * b.zero * b.minus
     if abs(den) < 1e-150:
         raise SingularParameterError("1 - B+ B0 B- vanishes; ordering map is singular")
-    return BCHParams(
-        plus=b.plus * b.zero / den,
-        zero=b.zero / den**2,
-        minus=b.minus * b.zero / den,
-        ordering=Ordering.NORMAL_FIRST,
-    )
+    return _mapped(b.plus * b.zero / den, b.zero / (den * den), b.minus * b.zero / den,
+                   Ordering.NORMAL_FIRST)
 
 
 def bch_normal_to_antinormal(a):
@@ -139,19 +155,30 @@ def bch_normal_to_antinormal(a):
 
     The denominator A0 - A+ A- (rather than 1 - A+ A-) is what makes the
     map the exact inverse of :func:`bch_antinormal_to_normal`; the pair
-    round-trips to machine precision.
+    round-trips to machine precision.  Raises as that map does.
     """
     if a.ordering is not Ordering.NORMAL_FIRST:
         raise SingularParameterError("expected normal-first parameters")
+    _check_finite(a)
     den = a.zero - a.plus * a.minus
     if abs(den) < 1e-150:
         raise SingularParameterError("A0 - A+ A- vanishes; ordering map is singular")
-    return BCHParams(
-        plus=a.plus / den,
-        zero=den**2 / a.zero,
-        minus=a.minus / den,
-        ordering=Ordering.ANTINORMAL_FIRST,
-    )
+    return _mapped(a.plus / den, (den * den) / a.zero, a.minus / den, Ordering.ANTINORMAL_FIRST)
+
+
+def _mapped(plus, zero, minus, ordering):
+    """A map's outputs as BCHParams.  den * den is den**2 to the bit, but
+    overflows to inf where the power raises OverflowError."""
+    if zero == 0 or not all(cmath.isfinite(v) for v in (plus, zero, minus)):
+        raise NumericError("the ordering map over- or underflows double precision, giving "
+                           f"({plus}, {zero}, {minus})")
+    return BCHParams(plus=plus, zero=zero, minus=minus, ordering=ordering)
+
+
+def _check_finite(params):
+    if not all(cmath.isfinite(complex(v)) for v in (params.plus, params.zero, params.minus)):
+        raise RangeError("reordering parameters must be finite, got "
+                         f"({params.plus}, {params.zero}, {params.minus})")
 
 
 def _block_residual(lhs, rhs, keep):
@@ -163,8 +190,9 @@ def _block_residual(lhs, rhs, keep):
 
 
 # Double-double arithmetic on float arrays.  A real value is a pair
-# (hi, lo) with |lo| <= ulp(hi) / 2; a complex value is a pair of those,
-# (real, imaginary).  Sums and products carry ~2^-104 relative error.
+# (hi, lo) with |lo| <= ulp(hi) / 2; a complex value is a pair of arrays
+# whose leading axis, of length 2, holds the real and imaginary parts.
+# Sums and products carry ~2^-104 relative error.
 
 def _two_sum(a, b):
     s = a + b
@@ -199,27 +227,79 @@ def _dd_mul(x, y):
     return hi, e - (hi - p)
 
 
+def _dd_recip(x):
+    """1 / x for a real double-double x."""
+    q = 1.0 / x[0]
+    p = _dd_mul((q, 0.0), x)  # 1 - p[0] is exact: p[0] is within an ulp of 1
+    r = ((1.0 - p[0]) - p[1]) / x[0]
+    hi = q + r
+    return hi, r - (hi - q)
+
+
 def _cdd_mul(x, y):
-    (xr, xi), (yr, yi) = x, y
-    ii = _dd_mul(xi, yi)
-    return (_dd_add(_dd_mul(xr, yr), (-ii[0], -ii[1])),
-            _dd_add(_dd_mul(xr, yi), _dd_mul(xi, yr)))
+    """x * y for complex double-doubles: the four real products in one pass."""
+    hi, lo = _dd_mul((x[0][[0, 1, 0, 1]], x[1][[0, 1, 0, 1]]),
+                     (y[0][[0, 1, 1, 0]], y[1][[0, 1, 1, 0]]))
+    hi[1] *= -1.0  # re = xr yr - xi yi, im = xr yi + xi yr
+    lo[1] *= -1.0
+    return _dd_add((hi[0::2], lo[0::2]), (hi[1::2], lo[1::2]))
+
+
+def _normalised(z, e):
+    """z 2^e rescaled so that max(|Re z|, |Im z|) lies in [1/2, 1), as (z, e)."""
+    f = np.frexp(np.maximum(np.abs(z[0][0]), np.abs(z[0][1])))[1]
+    return (np.ldexp(z[0], -f), np.ldexp(z[1], -f)), e + f
+
+
+def _bases(monomials):
+    """Complex double-double bases m 2^e, one per product in ``monomials``.
+
+    Each monomial is a sequence of at most three factors (x, p): a nonzero
+    complex double x to the power p = 1 or -1.  Every x is first scaled by
+    a power of two, so no product or reciprocal over- or underflows; the
+    result is (m, e) with m of shape (2, len(monomials)), normalised as by
+    :func:`_normalised`.
+    """
+    x = np.ones((3, len(monomials)), dtype=complex)
+    inv = np.zeros(x.shape, dtype=bool)
+    for i, factors in enumerate(monomials):
+        for j, (value, power) in enumerate(factors):
+            x[j, i], inv[j, i] = value, power < 0
+    f = np.frexp(np.maximum(np.abs(x.real), np.abs(x.imag)))[1]
+    m = np.ldexp(np.stack([x.real, x.imag]), -f)  # exact
+    # 1/m = conj(m) / |m|^2, with |m|^2 in [1/4, 2)
+    r = _dd_mul((m * np.array([1.0, -1.0])[:, None, None], 0.0),
+                _dd_recip(_dd_add(_two_prod(m[0], m[0]), _two_prod(m[1], m[1]))))
+    hi, lo = np.where(inv, r[0], m), np.where(inv, r[1], 0.0)
+    out = (hi[:, 0], lo[:, 0])
+    for j in (1, 2):
+        out = _cdd_mul(out, (hi[:, j], lo[:, j]))
+    return _normalised(out, np.where(inv, -f, f).sum(axis=0))
 
 
 def _cdd_powers(bases, n):
-    """Powers x^j, j < n, of each complex double x in ``bases``, shape (len, n)."""
-    x = np.asarray(bases, dtype=complex)[:, None]
-    zero = np.zeros(x.shape)
-    pw = ((np.ones(x.shape), zero), (zero, zero))
-    step = ((x.real, zero), (x.imag, zero))  # x^len(pw)
-    while pw[0][0].shape[1] < n:
-        # one product gives both the next block of powers and the next step
-        more = _cdd_mul(tuple((np.hstack([p[0], s[0]]), np.hstack([p[1], s[1]]))
-                              for p, s in zip(pw, step)), step)
-        pw = tuple((np.hstack([p[0], m[0][:, :-1]]), np.hstack([p[1], m[1][:, :-1]]))
-                   for p, m in zip(pw, more))
-        step = tuple((m[0][:, -1:], m[1][:, -1:]) for m in more)
-    return tuple((p[0][:, :n], p[1][:, :n]) for p in pw)
+    """Powers x^j, j < n, of the complex double-double bases (m, e) of :func:`_bases`.
+
+    Returns (mantissas of shape (2, len(e), n), exponents of shape
+    (len(e), n)): x^j = mantissa 2^exponent.  Powers are formed by
+    doubling, x^(L..2L) = x^(0..L) x^L, and every new block is rescaled by
+    powers of two, so no power over- or underflows whatever |x|.
+    """
+    (mh, ml), e = bases
+    hi = np.zeros((2, len(e), 2 * n + 1))
+    lo = np.zeros_like(hi)
+    ex = np.zeros((len(e), 2 * n + 1), dtype=np.int64)
+    hi[0, :, 0] = 1.0
+    hi[..., 1], lo[..., 1], ex[:, 1] = mh, ml, e
+    top = 1  # x^0 .. x^top are filled
+    while top < n - 1:
+        done, step = slice(0, top + 1), slice(top, top + 1)
+        block = _cdd_mul((hi[..., done], lo[..., done]), (hi[..., step], lo[..., step]))
+        block, be = _normalised(block, ex[:, done] + ex[:, step])
+        new = slice(top, 2 * top + 1)
+        hi[..., new], lo[..., new], ex[:, new] = block[0], block[1], be
+        top *= 2
+    return (hi[..., :n], lo[..., :n]), ex[:, :n]
 
 
 @functools.lru_cache(maxsize=None)  # n is a power of two <= _MAX_LEVELS
@@ -238,19 +318,13 @@ def _pascal(n):
     return hi, lo
 
 
-def _exp_kplus(binom, powers, rows, cols):
-    """<i|exp(x K+)|j> = C(i, j) x^(i-j) on a rows x cols corner (0 above the diagonal)."""
-    d = np.arange(rows)[:, None] - np.arange(cols)[None, :]
-    low = d >= 0
-    d = np.where(low, d, 0)
-    c = (binom[0][:rows, :cols], binom[1][:rows, :cols])
-    return tuple(_dd_mul(c, (np.where(low, p[0][d], 0.0), np.where(low, p[1][d], 0.0)))
-                 for p in powers)
+_NO_EXPONENT = -(1 << 30)  # the exponent of an exact zero: below every true one
 
 
-def _exponents(mags, axis):
-    """Binary exponents e with max(mags) < 2^e along ``axis``."""
-    return np.frexp(mags.max(axis=axis))[1]
+def _exponents(mags):
+    """Binary exponents e with mags < 2^e entrywise (mags >= 0)."""
+    m, e = np.frexp(mags)
+    return np.where(m == 0, _NO_EXPONENT, e)
 
 
 def _slices(hi, lo, count, beta):
@@ -264,66 +338,134 @@ def _slices(hi, lo, count, beta):
     return out
 
 
-def _sliced_product(x, y):
-    """x @ y for complex double-double x (p, q) and y (q, r), as complex doubles.
+def _cldexp(z, e):
+    with np.errstate(over="ignore"):  # an overflow is reported by verify_bch
+        return np.ldexp(z.real, e) + 1j * np.ldexp(z.imag, e)
 
-    Rows of x and columns of y are scaled by powers of two to a maximum
-    below 1 and cut into slices of ``beta`` bits on a common grid, so that
-    every slice product's sum of 2q real terms is exact in a BLAS product,
-    whatever order it adds them in.  The
-    slice products are summed in double-double down to 2^-60 of the entry
-    scale (at most eight slices: past that the tables carry no more
-    digits).  A power of two along the summation index first balances the
-    two factors, so that rows whose large entries meet zeros do not push
-    the grid above their small entries.
+
+def _sliced_product(x, y, mid, left, right):
+    """diag(l) x diag(2^mid) y diag(r), as complex doubles.
+
+    x (p, q) is complex double-double, y (q, r) real double-double, ``mid``
+    an integer exponent per summation index, and the outer diagonals l and
+    r are complex doubles given as (mantissas, integer exponents).  Only
+    the exponents enter the scaling, so no factor need be representable on
+    its own: only the final entries must be.
+
+    A power of two along the summation index first balances the two
+    factors, so that rows whose large entries meet zeros do not push the
+    grid above their small entries.  Rows of x and columns of y are then
+    scaled by powers of two to a maximum below 1 and cut into slices of
+    ``beta`` bits on a common grid.  The slice products x_s y_t of one
+    level s + t share a grid, so each level is a single BLAS product whose
+    sum of at most 8q real terms is exact, whatever order it adds them in.
+    y is real, so that product is a real one on the stacked real and
+    imaginary rows of x.  The levels are summed in
+    double-double down to 2^-60 of the scale of the *final* entries, the
+    outer diagonals included (at most eight slices: past that the tables
+    carry no more digits).
     """
-    (xrh, xrl), (xih, xil) = x
-    (yrh, yrl), (yih, yil) = y
-    ax = np.maximum(np.abs(xrh), np.abs(xih))
-    ay = np.maximum(np.abs(yrh), np.abs(yih))
-    bal = (_exponents(ay, 1) - _exponents(ax, 0)) // 2
-    row = _exponents(np.ldexp(ax, bal[None, :]), 1)
-    col = _exponents(np.ldexp(ay, -bal[:, None]), 0)
-    ex = bal[None, :] - row[:, None]
-    ey = -bal[:, None] - col[None, :]
-    inner = 2 * xrh.shape[1]  # real terms per complex entry
-    beta = (52 - (inner - 1).bit_length()) // 2
-    need = row.max() + col.max() + inner.bit_length() + 4 + 60
+    (xh, xl), (yh, yl) = x, y
+    (lm, le), (rm, re) = left, right
+    ex = _exponents(np.maximum(np.abs(xh[0]), np.abs(xh[1]))) + mid[None, :]
+    ey = _exponents(np.abs(yh))
+    bal = ((ey + re[None, :]).max(axis=1) - (ex + le[:, None]).max(axis=0)) // 2
+    row = (ex + bal[None, :]).max(axis=1)  # exponents of x diag(2^(mid + bal)), per row
+    col = (ey - bal[:, None]).max(axis=0)  # exponents of diag(2^-bal) y, per column
+    p, q = ex.shape
+    beta = (52 - (8 * q - 1).bit_length()) // 2
+    need = (row + le).max() + (col + re).max() + q.bit_length() + 4 + 60
     count = int(max(1, min(8, -(-need // beta))))
-
-    def sliced(re, im, e):
-        return [r + 1j * i for r, i in zip(
-            _slices(np.ldexp(re[0], e), np.ldexp(re[1], e), count, beta),
-            _slices(np.ldexp(im[0], e), np.ldexp(im[1], e), count, beta))]
-
-    xs = sliced((xrh, xrl), (xih, xil), ex)
-    ys = sliced((yrh, yrl), (yih, yil), ey)
-    hi = np.zeros((xrh.shape[0], yrh.shape[1]), dtype=complex)
-    lo = np.zeros_like(hi)
+    xe = (mid + bal)[None, :] - row[:, None]
+    ye = -bal[:, None] - col[None, :]
+    xs = [s.reshape(2 * p, q) for s in _slices(np.ldexp(xh, xe), np.ldexp(xl, xe), count, beta)]
+    ys = _slices(np.ldexp(yh, ye), np.ldexp(yl, ye), count, beta)
+    xs, ys = np.concatenate(xs, axis=1), np.concatenate(ys[::-1], axis=0)
+    hi = lo = 0.0
     for level in range(count):
-        for s in range(level + 1):
-            hi, err = _two_sum(hi, xs[s] @ ys[level - s])
-            lo += err
-    out = hi + lo
-    scale = row[:, None] + col[None, :]
-    return np.ldexp(out.real, scale) + 1j * np.ldexp(out.imag, scale)
+        hi, err = _two_sum(hi, xs[:, :(level + 1) * q] @ ys[(count - 1 - level) * q:])
+        lo = lo + err
+    out = (hi + lo).reshape(2, p, -1)
+    out = (out[0] + 1j * out[1]) * lm[:, None] * rm[None, :]
+    return _cldexp(out, (row + le)[:, None] + (col + re)[None, :])
+
+
+def _factorisation(params):
+    """One side as sqrt(zero) diag(l^m) M diag(r^n): the monomial bases and M's form.
+
+    Through C(i, j) x^(i-j) = x^i C(i, j) x^-j, with P the Pascal table,
+
+        exp(B- K-) B0^K0 exp(B+ K+)  ->  l = 1/B-,  r = 1/B+,  M = P^T diag(w^k) P,
+        exp(A+ K+) A0^K0 exp(A- K-)  ->  l = A+,    r = A-,    M = P diag(u^k) P^T,
+
+    with w = B+ B- B0 (k < levels) and u = A0 / (A+ A-) (k < keep).  When a
+    ladder parameter is 0 its exponential is the identity and the block is
+    a single term: M is C(m, n) ("lower"), C(n, m) ("upper") or the
+    identity, and the sum form ("sum") would divide by zero.  Returns
+    (form, [l, r] or [l, r, w-or-u]) with each base a monomial of
+    :func:`_bases`.
+    """
+    zero, plus, minus = params.zero, params.plus, params.minus
+    if params.ordering is Ordering.NORMAL_FIRST:
+        if plus != 0 and minus != 0:
+            return "sum", [[(plus, 1)], [(minus, 1)], [(zero, 1), (plus, -1), (minus, -1)]]
+        if plus != 0:  # exp(A+ K+) A0^K0
+            return "lower", [[(plus, 1)], [(zero, 1), (plus, -1)]]
+        if minus != 0:  # A0^K0 exp(A- K-)
+            return "upper", [[(zero, 1), (minus, -1)], [(minus, 1)]]
+    else:
+        if plus != 0 and minus != 0:
+            return "sum", [[(minus, -1)], [(plus, -1)], [(plus, 1), (minus, 1), (zero, 1)]]
+        if plus != 0:  # B0^K0 exp(B+ K+)
+            return "lower", [[(zero, 1), (plus, 1)], [(plus, -1)]]
+        if minus != 0:  # exp(B- K-) B0^K0
+            return "upper", [[(minus, -1)], [(zero, 1), (minus, 1)]]
+    return "diagonal", [[(zero, 1)], []]
+
+
+def _ordered_blocks(sides, keep, levels, binom):
+    """Leading keep x keep blocks of the ordered triple products of ``sides``.
+
+    Every base of every side (:func:`_factorisation`) goes through one
+    power pass; the sides share nothing else.  The normal-first sums run
+    over k < keep, the antinormal-first ones over k < levels.
+    """
+    forms, monomials = zip(*(_factorisation(params) for params in sides))
+    (ph, pl), pe = _cdd_powers(_bases([b for m in monomials for b in m]), levels)
+    powers = iter(zip(ph.transpose(1, 0, 2), pl.transpose(1, 0, 2), pe))
+    blocks = []
+    for params, form in zip(sides, forms):
+        # outer diagonals rounded to double; sqrt(zero) joins the left one
+        (lh, _, le), (rh, _, re) = next(powers), next(powers)
+        c = cmath.sqrt(params.zero)
+        ce = math.frexp(abs(c))[1]
+        left = ((lh[0, :keep] + 1j * lh[1, :keep])
+                * complex(math.ldexp(c.real, -ce), math.ldexp(c.imag, -ce)), le[:keep] + ce)
+        right = rh[0, :keep] + 1j * rh[1, :keep], re[:keep]
+        if form == "sum":
+            if params.ordering is Ordering.NORMAL_FIRST:
+                q = binom[0][:keep, :keep].T, binom[1][:keep, :keep].T  # q[k, n] = C(n, k)
+            else:
+                q = binom[0][:levels, :keep], binom[1][:levels, :keep]  # q[k, n] = C(k, n)
+            wh, wl, we = next(powers)
+            n = len(q[0])
+            x = _dd_mul((q[0].T, q[1].T), (wh[:, None, :n], wl[:, None, :n]))  # q^T diag(w^k)
+            blocks.append(_sliced_product(x, q, we[:n], left, right))
+        else:
+            table = {"lower": binom[0][:keep, :keep], "upper": binom[0][:keep, :keep].T,
+                     "diagonal": np.eye(keep)}[form]
+            blocks.append(_cldexp(left[0][:, None] * table * right[0][None, :],
+                                  left[1][:, None] + right[1][None, :]))
+    return blocks
 
 
 def _ordered_block(params, keep, levels, binom):
     """Leading keep x keep block of the ordered triple product of ``params``.
 
-    The normal-first product exp(A+ K+) A0^K0 exp(A- K-) sums k <= min(m, n);
-    the antinormal-first one exp(B- K-) B0^K0 exp(B+ K+) sums k < levels.
+    The one-side case of :func:`_ordered_blocks`, which ``verify_bch``
+    calls with both sides so that they share one power pass.
     """
-    normal = params.ordering is Ordering.NORMAL_FIRST
-    n = keep if normal else levels
-    powers = _cdd_powers([params.plus, params.minus, params.zero], n)
-    plus, minus, zero = (tuple((p[0][i], p[1][i]) for p in powers) for i in range(3))
-    kplus = _exp_kplus(binom, plus, n, keep)  # exp(plus K+), n x keep
-    kminus = tuple((p[0].T, p[1].T) for p in _exp_kplus(binom, minus, n, keep))
-    left, right = (kplus, kminus) if normal else (kminus, kplus)
-    diag = tuple((p[0][None, :], p[1][None, :]) for p in zero)
-    return cmath.sqrt(params.zero) * _sliced_product(_cdd_mul(left, diag), right)
+    return _ordered_blocks((params,), keep, levels, binom)[0]
 
 
 def _default_guard(params, dim, keep):
@@ -358,12 +500,6 @@ def _default_guard(params, dim, keep):
                      f"levels (|B+ B- B0| = {q:.6g})")
 
 
-def _check_finite(params):
-    if not all(cmath.isfinite(complex(v)) for v in (params.plus, params.zero, params.minus)):
-        raise RangeError("reordering parameters must be finite, got "
-                         f"({params.plus}, {params.zero}, {params.minus})")
-
-
 def verify_bch(params, dim, edge_exclude=None, guard=None):
     """Residual of the reordering identity, measured at matrix level.
 
@@ -373,14 +509,20 @@ def verify_bch(params, dim, edge_exclude=None, guard=None):
     (floored at one), since the products' entries can span many orders of
     magnitude.
 
-    Each side is summed from the closed-form ladder tables (see the module
-    docstring) with double-double tables and exact slice products, so its
-    entries carry an absolute error of about 2^-53 of the normalisation
-    plus 2^-100 of the largest term; on |X+-| <= 0.3 the residual is
-    ~1e-14.  The normal-first sums are finite.  The antinormal-first sums
-    run over the working space of dim + ``guard`` levels; by default the
-    guard is the smallest one whose dropped tail is provably below 2^-53
-    (zero when B+ or B- vanishes), found within dim + guard <= 1024.
+    Each side is factored through the cached Pascal table as an outer
+    diagonal, a real Pascal product and an outer diagonal (see the module
+    docstring).  The inner sums use double-double powers of w = B+ B- B0
+    or u = A0 / (A+ A-) and exact slice products, cut off at 2^-60 of the
+    final entries; every power of both sides comes from one doubling pass
+    and is carried with its binary exponent, so no intermediate over- or
+    underflows where the entries are representable.  The entries carry an
+    absolute error of about 2^-53 of the normalisation plus 2^-100 of the
+    largest term; on |X+-| <= 0.3 the residual is ~1e-14.  The
+    normal-first sums are finite.  The antinormal-first sums run over the
+    working space of dim + ``guard`` levels; by default the guard is the
+    smallest one whose dropped tail is provably below 2^-53 (zero when B+
+    or B- vanishes, where each block is a single term), found within
+    dim + guard <= 1024.
 
     The principal logarithm of the zero-parameter is used on both sides;
     sweeps crossing arg = +-pi must unwrap externally.
@@ -394,7 +536,7 @@ def verify_bch(params, dim, edge_exclude=None, guard=None):
         levels, or antinormal sums that do not converge within it
         (|B+ B- B0| near or above 1).
     NumericError
-        If a product overflows double precision.
+        If an ordering map or a product overflows double precision.
     """
     dim = int(dim)
     if dim < 2:
@@ -419,8 +561,7 @@ def verify_bch(params, dim, edge_exclude=None, guard=None):
     if levels > _MAX_LEVELS:
         raise RangeError(f"working dimension {levels} exceeds {_MAX_LEVELS}")
     binom = _pascal(max(64, 1 << (levels - 1).bit_length()))
-    lhs = _ordered_block(a_side, keep, levels, binom)
-    rhs = _ordered_block(b_side, keep, levels, binom)
+    lhs, rhs = _ordered_blocks((a_side, b_side), keep, levels, binom)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise NumericError("an ordered product overflows double precision")
     return _block_residual(lhs, rhs, keep)

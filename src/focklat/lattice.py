@@ -220,6 +220,7 @@ def impulse_profiles(spec, zs):
     else:
         jv = specfun.bessel_j_rows(spec.dim, 2.0 * z)
         out[live] = (1j**m) * (m + 1) * jv[:, 1:] / z[:, None]
+    out += 0.0  # turns signed zeros into 0.0, as propagate prints them
     return out
 
 

@@ -26,6 +26,10 @@ MAX_ARGUMENT = 50.0
 
 _SERIES_CUTOFF = 15.0  # I_m switches from series to recurrence here
 _RESCALE = 1e250
+# Below this |x|, J_m(x) is its leading term (x/2)^m / m! to rounding (the
+# next term is (x/2)^2 / (m+1) < 2^-62 times it); the downward recurrence
+# would overflow there, its step 2k/x growing past 1e300 before the rescale.
+_LEADING_TERM_CUTOFF = 2.0 ** -30
 
 
 def _check_order(m):
@@ -73,6 +77,13 @@ def _miller_j(m_max, xs):
     return out
 
 
+def _leading_term_j(m_max, xs):
+    """(x/2)^m / m! for m = 0..m_max at every x of ``xs`` (all |x| small and > 0)."""
+    out = np.ones((len(xs), m_max + 1))
+    out[:, 1:] = np.cumprod((0.5 * xs)[:, None] / np.arange(1, m_max + 1), axis=1)
+    return out
+
+
 def _miller_i(m_max, x):
     """All of I_0(x)..I_{m_max}(x) by downward recurrence; requires x > 0."""
     start = _start_order(m_max, x)
@@ -107,6 +118,7 @@ def bessel_j_rows(m_max, xs):
     One downward Miller pass runs over all arguments at once; each keeps
     its own start order and rescaling, so row i is bitwise what a pass at
     xs[i] alone gives, and :func:`bessel_j_all` is the one-row case.
+    Arguments with 0 < |x| < 2^-30 take the leading series term instead.
 
     Parameters
     ----------
@@ -133,7 +145,9 @@ def bessel_j_rows(m_max, xs):
                          f"{MAX_ARGUMENT}")
     out = np.zeros((len(xs), m_max + 1))
     out[xs == 0.0, 0] = 1.0
-    live = xs != 0.0
+    tiny = (xs != 0.0) & (np.abs(xs) < _LEADING_TERM_CUTOFF)
+    out[tiny] = _leading_term_j(m_max, np.abs(xs[tiny]))
+    live = np.abs(xs) >= _LEADING_TERM_CUTOFF
     if live.any():
         out[live] = _miller_j(m_max, np.abs(xs[live]))
     out[xs < 0.0, 1::2] *= -1.0

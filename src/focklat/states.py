@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import fock, specfun
-from .algebra import shift_exponential
+from .algebra import _two_prod, shift_exponential
 from .errors import BesselRootError, DimensionError, NumericError, RangeError
 from .fock import TruncatedOperator
 
@@ -63,17 +63,31 @@ def _check_alpha(alpha):
     return alpha
 
 
+def _phase_factors(phi, dim):
+    """exp(i phi (j + 1/2)) for j < dim, to rounding at any angle.
+
+    The angle is split error-free, phi (j + 1/2) = hi + lo with hi its
+    rounded value, and each part is exponentiated on its own, so the factor
+    does not lose |phi| dim ulps of phase.  Above 2^900, phi is scaled by
+    2^-32 (and j + 1/2 by 2^32) first, which leaves the product unchanged
+    and keeps Dekker's split of phi finite.
+    """
+    if not math.isfinite(phi * (dim - 0.5)):
+        raise RangeError(f"phase-state angle phi must keep phi * (dim - 1/2) finite, got {phi}")
+    s = 2.0**-32 if abs(phi) > 2.0**900 else 1.0
+    hi, lo = _two_prod(phi * s, (np.arange(dim) + 0.5) / s)
+    return np.exp(1j * hi) * np.exp(1j * lo)
+
+
 def phase_state(phi, dim):
     """Phase state amplitudes c_j = exp(i phi (j + 1/2)) / sqrt(2 pi).
 
     Deliberately not normalised: the squared norm is N / (2 pi), which the
-    eigenvalue examples rely on.
+    eigenvalue examples rely on.  Raises :class:`RangeError` unless
+    phi (dim - 1/2) is finite.
     """
     dim = _check_dim(dim)
-    if not np.isfinite(phi):
-        raise RangeError(f"phase-state angle must be finite, got {phi}")
-    j = np.arange(dim)
-    return np.exp(1j * phi * (j + 0.5)) / math.sqrt(_TWO_PI)
+    return _phase_factors(float(phi), dim) / math.sqrt(_TWO_PI)
 
 
 def _ladder_exp(vec, x, weights, raising):
@@ -82,20 +96,29 @@ def _ladder_exp(vec, x, weights, raising):
     ``raising`` picks |n + 1> (the top level is shifted out) or |n - 1>
     (level 0 is).  L is nilpotent, so the Taylor sum is finite: its terms
     x^j L^j vec / j! are formed one shift at a time, and the sum stops at
-    the first term that is exactly zero.
+    the first term that is exactly zero.  Each shift touches only the span
+    of levels where the term can be nonzero, so a narrow support costs
+    O(len(vec)) in all rather than O(len(vec)^2).
     """
+    n = len(vec)
     out = vec.copy()
-    term = vec
-    for j in range(1, len(vec)):
-        step = np.zeros_like(term)
-        if raising:
-            step[1:] = term[:-1] * (weights[:-1] / j)
-        else:
-            step[:-1] = term[1:] * (weights[1:] / j)
-        term = step * x
+    live = np.flatnonzero(vec)
+    if live.size == 0:
+        return out
+    lo, hi = live[0], live[-1] + 1  # the term is zero outside levels [lo, hi)
+    term = vec[lo:hi]
+    for j in range(1, n):
+        if raising:  # level k takes level k - 1; the top level is shifted out
+            top = min(hi, n - 1)
+            term = term[:top - lo] * (weights[lo:top] / j) * x
+            lo, hi = lo + 1, top + 1
+        else:  # level k takes level k + 1; level 0 is shifted out
+            bottom = max(lo, 1)
+            term = term[bottom - lo:] * (weights[bottom:hi] / j) * x
+            lo, hi = bottom - 1, hi - 1
         if not term.any():
             break
-        out += term
+        out[lo:hi] += term
     return out
 
 
@@ -111,11 +134,10 @@ def phase_state_perelomov(phi, dim):
     :func:`phase_state` to rounding.
     """
     dim = _check_dim(dim)
-    if not np.isfinite(phi):
-        raise RangeError(f"phase-state angle must be finite, got {phi}")
+    phases = _phase_factors(float(phi), dim)
     n = np.arange(dim, dtype=float)
     u = _ladder_exp(fock.vacuum(dim), -np.exp(-1j * phi), n, raising=False)  # <n-1|K-|n> = n
-    u = np.exp(1j * phi * (n + 0.5)) * u
+    u = phases * u
     u = _ladder_exp(u, np.exp(1j * phi), n + 1, raising=True)  # <n+1|K+|n> = n + 1
     return u / math.sqrt(_TWO_PI)
 

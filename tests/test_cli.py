@@ -114,6 +114,12 @@ def test_impulse_su11_row(capsys):
     assert float(first[4]) == pytest.approx(1.0 / math.cosh(1.0) ** 2, rel=1e-12)
 
 
+def _cells(out):
+    """Every CSV cell and footer value below the header line."""
+    return [cell for line in out.splitlines()[1:]
+            for cell in (line.split(" = ")[1:] if line.startswith("#") else line.split(","))]
+
+
 def test_impulse_su11_far_past_cosh_overflow(capsys):
     status, out, _ = run_cli(["impulse", "--lattice", "su11", "--zmax", "800", "--dim", "8"],
                              capsys)
@@ -121,6 +127,32 @@ def test_impulse_su11_far_past_cosh_overflow(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:] if not line.startswith("#")]
     assert len(rows) == 8
     assert all(math.isfinite(float(value)) for row in rows for value in row)
+    # the closed form has underflowed; its zeros print as 0.0, as propagate's do
+    assert "-0.0" not in _cells(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["state", "--family", "london", "--alpha", "1e-300", "--dim", "4"],
+    ["impulse", "--lattice", "uniform", "--zmax", "1e-300", "--dim", "4", "--samples", "1"],
+    ["propagate", "--lattice", "uniform", "--zmax", "1e-300", "--dim", "4"],
+])
+def test_tiny_bessel_arguments_give_finite_output(argv, capsys):
+    # J_m(x) came out NaN for 0 < x below about 1e-60, and these exited 0
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    cells = _cells(out)
+    assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["state", "--family", "phase", "--phi", "1e308", "--dim", "4"], 3),
+    (["bch-check", "--xplus", "0.1", "--xzero", "1e308", "--xminus", "0.1", "--dim", "8"], 6),
+    (["bch-check", "--xplus", "0.1", "--xzero", "1e308", "--xminus", "0.1", "--dim", "8",
+      "--ordering", "normal"], 6),
+])
+def test_overflowing_parameters_fail_with_their_exit_code(argv, code, capsys):
+    status, out, err = run_cli(argv, capsys)
+    assert status == code and out == "" and "error:" in err
 
 
 def test_propagate_diagnostics_footer(capsys):

@@ -103,6 +103,15 @@ def test_evaluation_records():
     assert specfun.bessel_i(3, 22.0) == pytest.approx(float(series_i(3, 22.0, dps=80)), rel=1e-12)
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-100, -3e-40, 1e-20, 2.0**-31, 2.0**-29])
+def test_j_at_tiny_arguments(x):
+    # below 2^-30 the rows are the leading series term; the downward
+    # recurrence gave NaN below about 1e-60, where its step 2k/x overflows
+    row = specfun.bessel_j_rows(12, [x])[0]
+    for m in range(13):
+        assert row[m] == pytest.approx(float(series_j(m, x)), rel=1e-13, abs=0.0)
+
+
 def test_high_order_tail_underflows_to_zero():
     vals = specfun.bessel_j_all(400, 1.0)
     assert vals[0] == pytest.approx(float(series_j(0, 1.0)), rel=1e-13)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from focklat import algebra, fock, specfun, states
 from focklat.errors import BesselRootError, DimensionError, RangeError
@@ -74,12 +75,62 @@ def test_bg_state_ordered_matches_guarded_expm(alpha, dim):
 
 @pytest.mark.parametrize("phi", [0.7, math.pi - 0.1, -3.0])
 def test_phase_state_ordered_at_the_dimension_ceiling(phi):
-    # both forms lose about dim ulps at the top level: the direct one rounds
-    # the angle phi (j + 1/2), the ordered one takes the j-th power of a
-    # rounded e^{i phi}
+    # the ordered form loses about dim ulps at the top level: it takes the
+    # j-th power of a rounded e^{i phi}
     dim = fock.MAX_DIM
     assert np.abs(states.phase_state_perelomov(phi, dim) - states.phase_state(phi, dim)).max() \
         <= 2e-12
+
+
+@pytest.mark.parametrize("phi,dim", [(math.pi - 0.1, fock.MAX_DIM), (-2.5, fock.MAX_DIM),
+                                     (1e300, 3)])
+def test_phase_state_matches_mpmath(phi, dim):
+    # phi (j + 1/2) rounded as a whole put the top level 3.6e-13 off at
+    # phi = pi - 0.1; split error-free, every level is exact to rounding
+    got = states.phase_state(phi, dim)
+    with mp.workdps(30 + int(math.log10(abs(phi) * dim))):
+        ref = [complex(mp.expj(mp.mpf(phi) * (j + mp.mpf(0.5))) / mp.sqrt(2 * mp.pi))
+               for j in range(dim)]
+    assert np.abs(got - np.array(ref)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("build", [states.phase_state, states.phase_state_perelomov])
+@pytest.mark.parametrize("phi", [1e308, -1e308])
+def test_phase_angle_overflow_is_a_range_error(build, phi):
+    # phi (dim - 1/2) is not finite: the amplitudes were NaN from level 2 on
+    with pytest.raises(RangeError):
+        build(phi, 4)
+
+
+def _whole_array_ladder_exp(vec, x, weights, raising):
+    """The ladder sum that shifts whole arrays, kept as the reference of
+    :func:`states._ladder_exp`, which shifts only the live support."""
+    out = vec.copy()
+    term = vec
+    for j in range(1, len(vec)):
+        step = np.zeros_like(term)
+        if raising:
+            step[1:] = term[:-1] * (weights[:-1] / j)
+        else:
+            step[:-1] = term[1:] * (weights[1:] / j)
+        term = step * x
+        if not term.any():
+            break
+        out += term
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 33, 256, 1024])
+def test_ladder_sums_on_the_live_support_are_the_whole_array_loop(dim, monkeypatch):
+    cases = [(states.phase_state_perelomov, [0.0, 0.7, math.pi - 0.1, -3.0]),
+             (states.bg_state_ordered, [0.0, 1e-3, 1 + 0.5j, -3j, 20.0])]
+    for build, params in cases:
+        for param in params:
+            new = build(param, dim)
+            with monkeypatch.context() as patch:
+                patch.setattr(states, "_ladder_exp", _whole_array_ladder_exp)
+                old = build(param, dim)
+            assert new.tobytes() == old.tobytes()  # bitwise, signed zeros included
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
