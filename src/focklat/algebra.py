@@ -103,6 +103,7 @@ class BCHParams:
 
 def su11_generators(dim):
     """Build (K0, K+, K-) at Bargmann index 1/2 on an N-level space."""
+    dim = fock._check_dim(dim)
     n = np.arange(1, dim)
     kp = np.zeros((dim, dim), dtype=complex)
     km = np.zeros((dim, dim), dtype=complex)
@@ -118,6 +119,7 @@ def su11_generators(dim):
 
 def phase_operators(dim):
     """Exponential phase operators: V|n> = |n-1>, Vdag|n> = |n+1>."""
+    dim = fock._check_dim(dim)
     n = np.arange(1, dim)
     v = np.zeros((dim, dim), dtype=complex)
     vd = np.zeros((dim, dim), dtype=complex)

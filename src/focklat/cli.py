@@ -4,7 +4,10 @@ Subcommands: ``state``, ``impulse``, ``propagate``, ``bch-check`` and
 ``verify``.  Results are emitted as CSV (default) or a single JSON object
 {"meta": ..., "rows": ..., "diagnostics": ...}; floating-point values use
 the shortest round-trip decimal form so identical configurations emit
-byte-identical output.
+byte-identical output.  Each row is formed once, as its CSV line, from
+Python floats (an array's ``.tolist()``); the JSON form splits it back,
+with the ``index`` and ``guide`` cells as integers.  The argparse tree is
+built once per process.
 
 Options may also come from a flat ``key = value`` config file passed with
 ``--config``; explicit flags win over file values.  Exit codes: 0 success
@@ -18,6 +21,7 @@ keeps its own limit of 1024.  A larger value exits 3.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -162,6 +166,7 @@ def _load_config_file(path):
     return values
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="focklat",
@@ -249,19 +254,46 @@ def _f(x):
     return repr(float(x))
 
 
+def _amplitude_rows(lead, labels, amplitudes):
+    """CSV rows ``lead + label,re,im,abs2``, one per amplitude.
+
+    ``amplitudes`` are Python complex numbers (an array's ``.tolist()``), so
+    each cell is one float ``repr``.  abs2 is ``abs(c) ** 2``: libm's hypot,
+    squared, as numpy's complex scalars give it to the bit; ``np.abs`` of
+    the array does not.
+    """
+    return [f"{lead}{label},{c.real!r},{c.imag!r},{abs(c) ** 2!r}"
+            for label, c in zip(labels, amplitudes)]
+
+
+def _field_rows(zs, fields):
+    """One ``z,guide,re,im,abs2`` row per guide per sample of ``fields``."""
+    guides = [str(g) for g in range(fields.shape[1])]
+    rows = []
+    for z, field in zip(np.asarray(zs, dtype=float).tolist(), fields.tolist()):
+        rows += _amplitude_rows(f"{z!r},", guides, field)
+    return rows
+
+
 def _emit_csv(header, rows, diagnostics):
-    lines = [",".join(header)]
-    lines.extend(",".join(str(cell) for cell in row) for row in rows)
+    lines = [",".join(header), *rows]
     lines.extend(f"# {key} = {value}" for key, value in diagnostics.items())
     return "\n".join(lines) + "\n"
 
 
+# columns whose JSON cells are integers; every other cell is a string
+_INT_COLUMNS = ("index", "guide")
+
+
 def _emit_json(meta, header, rows, diagnostics):
-    payload = {
-        "meta": meta,
-        "rows": [dict(zip(header, row)) for row in rows],
-        "diagnostics": diagnostics,
-    }
+    ints = [j for j, name in enumerate(header) if name in _INT_COLUMNS]
+    records = []
+    for row in rows:
+        cells = row.split(",")
+        for j in ints:
+            cells[j] = int(cells[j])
+        records.append(dict(zip(header, cells)))
+    payload = {"meta": meta, "rows": records, "diagnostics": diagnostics}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -282,9 +314,12 @@ def _run_state(params):
                             bargmann_k=params["k"])
     vec = states.build_state(spec)
     if params["normalize"]:
-        vec = vec / np.sqrt(fock.norm_sq(vec))
+        norm2 = fock.norm_sq(vec)
+        if not (math.isfinite(norm2) and norm2 > 0.0):
+            raise NumericError(f"cannot normalise a state of squared norm {norm2}")
+        vec = vec / np.sqrt(norm2)
     header = ["index", "re", "im", "abs2"]
-    rows = [[j, _f(c.real), _f(c.imag), _f(abs(c) ** 2)] for j, c in enumerate(vec)]
+    rows = _amplitude_rows("", [str(j) for j in range(len(vec))], vec.tolist())
     diagnostics = {"norm2": _f(fock.norm_sq(vec))}
     return header, rows, diagnostics, 0
 
@@ -298,12 +333,7 @@ def _run_impulse(params):
     header = ["z", "guide", "re", "im", "abs2"]
     zs = [params["zmax"] * s / samples for s in range(1, samples + 1)]
     profiles = lattice.impulse_profiles(spec, zs)
-    rows = []
-    for z, profile in zip(zs, profiles):
-        rows.extend(
-            [_f(z), guide, _f(c.real), _f(c.imag), _f(abs(c) ** 2)]
-            for guide, c in enumerate(profile)
-        )
+    rows = _field_rows(zs, profiles)
     diagnostics = {"normalization_last_z": _f(np.sum(np.abs(profiles[-1]) ** 2))}
     return header, rows, diagnostics, 0
 
@@ -321,12 +351,7 @@ def _run_propagate(params):
         samples=params["samples"],
     )
     header = ["z", "guide", "re", "im", "abs2"]
-    rows = []
-    for z, field in zip(result.z_grid, result.fields):
-        rows.extend(
-            [_f(z), guide, _f(c.real), _f(c.imag), _f(abs(c) ** 2)]
-            for guide, c in enumerate(field)
-        )
+    rows = _field_rows(result.z_grid, result.fields)
     diagnostics = {
         "norm_drift": _f(result.norm_drift),
         "edge_leakage": _f(result.edge_leakage),
@@ -334,6 +359,11 @@ def _run_propagate(params):
     if guide_in == 0:
         diagnostics["oracle_max_error"] = _f(lattice.compare_to_oracle(result, spec))
     return header, rows, diagnostics, 0
+
+
+def _check_rows(results):
+    return [f"{r.name},{_f(r.residual)},{_f(r.tolerance)},{'pass' if r.passed else 'fail'}"
+            for r in results]
 
 
 def _run_bch_check(params):
@@ -355,8 +385,7 @@ def _run_bch_check(params):
         checks.CheckResult("bch-round-trip", round_trip, 1e-13),
     ]
     header = ["check", "residual", "tolerance", "status"]
-    rows = [[r.name, _f(r.residual), _f(r.tolerance), "pass" if r.passed else "fail"]
-            for r in results]
+    rows = _check_rows(results)
     diagnostics = {
         "converted_plus": format_complex(converted.plus),
         "converted_zero": format_complex(converted.zero),
@@ -369,8 +398,7 @@ def _run_bch_check(params):
 def _run_verify(params):
     results = checks.run_suite(params["suite"], dim=params["dim"], seed=params["seed"])
     header = ["check", "residual", "tolerance", "status"]
-    rows = [[r.name, _f(r.residual), _f(r.tolerance), "pass" if r.passed else "fail"]
-            for r in results]
+    rows = _check_rows(results)
     failed = [r.name for r in results if not r.passed]
     diagnostics = {"checks_run": len(results), "checks_failed": len(failed)}
     return header, rows, diagnostics, 0 if not failed else 1

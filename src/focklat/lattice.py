@@ -198,7 +198,8 @@ def impulse_profiles(spec, zs):
 
     Returns shape (len(zs), dim).  The uniform lattice's Bessel rows come
     from one batched downward pass (:func:`specfun.bessel_j_rows`), so a
-    whole z grid costs one recurrence instead of one per sample.
+    whole z grid costs one recurrence instead of one per sample; below
+    z = 2^-30 its field is the leading term i^m z^m / m! instead.
     """
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 1:
@@ -218,8 +219,13 @@ def impulse_profiles(spec, zs):
         tanh = np.array([math.tanh(x) for x in z])
         out[live] = sech[:, None] * (1j * tanh[:, None]) ** m
     else:
-        jv = specfun.bessel_j_rows(spec.dim, 2.0 * z)
-        out[live] = (1j**m) * (m + 1) * jv[:, 1:] / z[:, None]
+        # below specfun's leading-term cutoff the field is i^m z^m / m! to
+        # rounding; the complex division by a subnormal z would overflow
+        tiny = z < specfun._LEADING_TERM_CUTOFF
+        rows = np.flatnonzero(live)
+        jv = specfun.bessel_j_rows(spec.dim, 2.0 * z[~tiny])
+        out[rows[~tiny]] = (1j**m) * (m + 1) * jv[:, 1:] / z[~tiny, None]
+        out[rows[tiny]] = (1j**m) * specfun._leading_term_j(spec.dim - 1, 2.0 * z[tiny])
     out += 0.0  # turns signed zeros into 0.0, as propagate prints them
     return out
 

@@ -250,8 +250,10 @@ def su11_perelomov_state(alpha, k, dim):
 
         c_m = (1 - |mu|^2)^k sqrt(Gamma(2k + m) / (m! Gamma(2k))) mu^m
 
-    with mu = (alpha/|alpha|) tanh|alpha| (mu = 0 at alpha = 0).  Gamma
-    ratios go through log-gamma differences so large m cannot overflow.
+    with mu = (alpha/|alpha|) tanh|alpha| (mu = 0 at alpha = 0).  The
+    prefactor is taken as cosh|alpha|^(-2k): 1 - tanh^2 cancels, losing all
+    its digits by |alpha| = 19 and reaching 0 at 20.  Gamma ratios go
+    through log-gamma differences so large m cannot overflow.
     """
     dim = _check_dim(dim)
     alpha = _check_alpha(complex(alpha))
@@ -264,7 +266,7 @@ def su11_perelomov_state(alpha, k, dim):
     lg = np.array([math.lgamma(2 * k + mm) - math.lgamma(mm + 1) for mm in m])
     with np.errstate(all="ignore"):  # overflow at huge k is caught below
         lg -= math.lgamma(2 * k)
-        out = (1.0 - abs(mu) ** 2) ** k * np.exp(0.5 * lg) * mu**m
+        out = math.cosh(abs(alpha)) ** (-2.0 * k) * np.exp(0.5 * lg) * mu**m
     if not np.all(np.isfinite(out.view(float))):
         raise NumericError(f"displaced-vacuum amplitudes are not finite at k = {k}")
     return out

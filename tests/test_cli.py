@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from focklat import cli
 from focklat.errors import UsageError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -333,3 +340,169 @@ def test_memory_error_is_a_numeric_failure(monkeypatch, capsys):
     monkeypatch.setattr(cli.states, "build_state", exhausted)
     status, out, err = run_cli(["state", "--family", "phase", "--phi", "0", "--dim", "4"], capsys)
     assert status == 6 and out == "" and "error:" in err
+
+
+# ---- rows against the per-cell reference formatter ----
+
+def _reference_cells(lead, amplitudes):
+    """The per-cell formatter: numpy complex scalars, float(), repr() and abs() per cell."""
+    return [[*lead, guide, repr(float(c.real)), repr(float(c.imag)), repr(float(abs(c) ** 2))]
+            for guide, c in enumerate(amplitudes)]
+
+
+def _reference_output(fmt, out, header, cells):
+    """``out`` with its rows replaced by ``cells`` emitted the per-cell way.
+
+    The meta and diagnostics are taken from ``out`` itself, so only the rows
+    are compared against an independent formatter.
+    """
+    if fmt == "json":
+        payload = json.loads(out)
+        payload["rows"] = [dict(zip(header, row)) for row in cells]
+        return json.dumps(payload, indent=2) + "\n"
+    footer = [line for line in out.splitlines() if line.startswith("#")]
+    lines = [",".join(header), *(",".join(str(cell) for cell in row) for row in cells), *footer]
+    return "\n".join(lines) + "\n"
+
+
+def _reference_field_cells(zs, fields):
+    return [row for z, field in zip(zs, fields)
+            for row in _reference_cells([repr(float(z))], field)]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,normalize", [
+    (["--family", "phase", "--phi", "0", "--dim", "4"], False),
+    (["--family", "phase", "--phi", "1e300", "--dim", "8"], False),
+    (["--family", "bg", "--alpha", "15+3i", "--dim", "256"], False),
+    (["--family", "london", "--alpha", "1e-300", "--dim", "6"], False),
+    (["--family", "su11", "--alpha", "0.8", "--k", "0.5", "--dim", "32"], True),
+    (["--family", "su11", "--alpha", "20", "--k", "3", "--dim", "300"], True),
+])
+def test_state_rows_match_the_per_cell_formatter(argv, normalize, fmt, capsys):
+    argv = ["state", *argv, *(["--normalize"] if normalize else []), "--format", fmt]
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    p = cli.parse_args(argv).params
+    family = cli._STATE_FAMILIES[p["family"]]
+    param = p["phi"] if p["family"] == "phase" else p["alpha"]
+    vec = cli.states.build_state(cli.states.StateSpec(family, param, p["dim"], p["k"]))
+    if normalize:
+        vec = vec / np.sqrt(cli.fock.norm_sq(vec))
+    cells = _reference_cells([], vec)
+    assert out == _reference_output(fmt, out, ["index", "re", "im", "abs2"], cells)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("lattice,zmax,dim,samples", [
+    ("uniform", "1", 64, 4),
+    ("uniform", "3", 48, 5),
+    ("uniform", "1e-300", 8, 3),
+    ("uniform", "5e-324", 8, 2),
+    ("su11", "2", 64, 3),
+    ("su11", "800", 8, 2),
+    ("su11", "40", 256, 4),
+])
+def test_impulse_rows_match_the_per_cell_formatter(lattice, zmax, dim, samples, fmt, capsys):
+    argv = ["impulse", "--lattice", lattice, "--zmax", zmax, "--dim", str(dim),
+            "--samples", str(samples), "--format", fmt]
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    spec = cli.lattice.LatticeSpec(cli._LATTICE_KINDS[lattice], dim)
+    zs = [float(zmax) * s / samples for s in range(1, samples + 1)]
+    cells = _reference_field_cells(zs, cli.lattice.impulse_profiles(spec, zs))
+    assert out == _reference_output(fmt, out, ["z", "guide", "re", "im", "abs2"], cells)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("lattice,zmax,dim,samples,guide_in", [
+    ("uniform", 5.0, 64, 200, 0),
+    ("uniform", 2.0, 32, 7, 0),
+    ("uniform", 0.5, 32, 5, 3),
+    ("uniform", 1e-300, 4, 3, 0),
+    ("su11", 1.0, 64, 5, 0),
+])
+def test_propagate_rows_match_the_per_cell_formatter(lattice, zmax, dim, samples, guide_in,
+                                                     fmt, capsys):
+    argv = ["propagate", "--lattice", lattice, "--zmax", repr(zmax), "--dim", str(dim),
+            "--samples", str(samples), "--input-waveguide", str(guide_in), "--format", fmt]
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    spec = cli.lattice.LatticeSpec(cli._LATTICE_KINDS[lattice], dim)
+    result = cli.lattice.propagate(spec, cli.fock.basis_state(dim, guide_in), zmax, samples)
+    cells = _reference_field_cells(result.z_grid, result.fields)
+    assert out == _reference_output(fmt, out, ["z", "guide", "re", "im", "abs2"], cells)
+
+
+def test_amplitude_rows_match_the_per_cell_formatter_at_extreme_magnitudes():
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.uniform(-150, 150, (40, 3))
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e150, -1e150, 2.2250738585072014e-308]
+    fields = (scale * rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))).ravel()
+    fields = np.concatenate([fields, [complex(a, b) for a in values for b in values]])
+    fields = fields.reshape(-1, 8)
+    zs = np.geomspace(1e-300, 1e300, len(fields))
+    lines = cli._field_rows(zs, fields)
+    assert lines == [",".join(str(cell) for cell in row)
+                     for row in _reference_field_cells(zs, fields)]
+
+
+# ---- one parser per process ----
+
+def _fresh_process(argv):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import sys; from focklat import cli; sys.exit(cli.main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("family = bg\nalpha = 1+0.5i\ndim = 6\nformat = json\nnormalize = true\n")
+    calls = [
+        ["state", "--config", str(cfg)],
+        ["state", "--family", "phase", "--phi", "0.25", "--dim", "5"],
+        ["state", "--family", "phase", "--dim", "5", "--bogus"],
+    ]
+    seen = [run_cli(argv, capsys) for argv in calls]
+    assert [status for status, _, _ in seen] == [0, 0, 2]
+    assert seen == [_fresh_process(argv) for argv in calls]
+
+
+# ---- edge values that exited 0 with non-finite cells or a traceback ----
+
+@pytest.mark.parametrize("alpha", ["20", "19.9", "0+20i"])
+def test_su11_normalize_at_the_alpha_ceiling_is_finite(alpha, capsys):
+    # 1 - tanh^2|alpha| cancelled to 0 there, and --normalize printed NaN
+    status, out, _ = run_cli(["state", "--family", "su11", "--alpha", alpha, "--dim", "8",
+                              "--normalize"], capsys)
+    assert status == 0
+    cells = _cells(out)
+    assert cells and all(math.isfinite(float(cell)) for cell in cells)
+    assert float(out.splitlines()[1].split(",")[1]) != 0.0
+
+
+def test_normalize_of_a_zero_vector_is_a_numeric_error(monkeypatch, capsys):
+    monkeypatch.setattr(cli.states, "build_state", lambda spec: np.zeros(spec.dim, complex))
+    status, out, err = run_cli(["state", "--family", "bg", "--alpha", "1", "--dim", "4",
+                                "--normalize"], capsys)
+    assert status == 6 and out == "" and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["impulse", "--lattice", "uniform", "--zmax", "5e-324", "--dim", "8", "--samples", "2"],
+    ["propagate", "--lattice", "uniform", "--zmax", "5e-324", "--dim", "8"],
+])
+def test_uniform_closed_form_at_subnormal_z_is_finite(argv, capsys):
+    # i^m (m+1) J_{m+1}(2z) / z overflowed in the complex division
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    cells = _cells(out)
+    assert cells and all(math.isfinite(float(cell)) for cell in cells)
+
+
+@pytest.mark.parametrize("suite", ["algebra", "all"])
+def test_negative_dimension_is_a_dimension_error(suite, capsys):
+    status, out, err = run_cli(["verify", "--suite", suite, "--dim", "-1"], capsys)
+    assert status == 3 and out == "" and "error:" in err

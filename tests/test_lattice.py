@@ -12,6 +12,8 @@ from focklat.errors import (
 )
 from focklat.lattice import LatticeKind, LatticeSpec
 
+from oracles import series_j
+
 
 def test_uniform_hamiltonian_matrix():
     h = lattice.build_hamiltonian(LatticeSpec(LatticeKind.UNIFORM, 3))
@@ -173,6 +175,20 @@ def test_su11_profile_past_cosh_overflow():
     assert rows[0, 0] == pytest.approx(1.0 / math.cosh(700.0), rel=1e-15)
     assert rows[1, 0] == pytest.approx(2.0 * math.exp(-711.0), rel=1e-15)
     assert np.array_equal(rows[2], np.zeros(8))
+
+
+def test_uniform_profile_at_tiny_z_is_the_leading_term():
+    # (1/z) i^m (m+1) J_{m+1}(2z) overflowed in the complex division below
+    # z ~ 5.6e-309; under 2^-30 the rows are i^m z^m / m! to rounding
+    spec = LatticeSpec(LatticeKind.UNIFORM, 12)
+    zs = [5e-324, 1e-310, 1e-300, 1e-20, 2.0**-31, 0.5]
+    rows = lattice.impulse_profiles(spec, zs)
+    for z, row in zip(zs, rows):
+        for m, value in enumerate(row):
+            ref = 1j**m * complex((m + 1) * series_j(m + 1, 2 * z) / z)
+            assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # rows above the cutoff are the batched Bessel rows, unchanged by tiny ones
+    assert np.array_equal(rows[-1], lattice.impulse_profile(spec, 0.5))
 
 
 def test_impulse_profiles_reject_bad_z():

@@ -155,3 +155,24 @@ def test_batched_rows_range_errors():
         specfun.bessel_j_rows(4, [1.0, 50.5])
     with pytest.raises(RangeError):
         specfun.bessel_j_rows(4, [float("nan")])
+
+
+def test_rows_with_their_own_top_orders_are_bitwise_the_one_row_calls():
+    # bessel-shift-normalisation's grid, plus a zero, a tiny and a negative argument
+    zs = np.linspace(0.25, 10.0, 20)
+    xs = np.concatenate([2.0 * zs, [0.0, 1e-300, -7.5]])
+    tops = np.concatenate([np.ceil(4 * zs).astype(int) + 61, [3, 9, 140]])
+    rows = specfun.bessel_j_rows(tops, xs)
+    assert rows.shape == (len(xs), tops.max() + 1)
+    for x, top, row in zip(xs, tops, rows):
+        assert np.array_equal(row[:top + 1], specfun.bessel_j_all(int(top), x))
+        assert not row[top + 1:].any()
+
+
+def test_rows_top_orders_must_match_the_arguments():
+    with pytest.raises(RangeError):
+        specfun.bessel_j_rows([4, 5], [1.0])
+    with pytest.raises(RangeError):
+        specfun.bessel_j_rows([4, -1], [1.0, 2.0])
+    with pytest.raises(RangeError):
+        specfun.bessel_j_rows([4.0], [1.0])

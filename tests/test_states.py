@@ -259,6 +259,27 @@ def test_su11_perelomov_state():
         states.su11_perelomov_state(30.0, 0.5, 8)
 
 
+def _su11_reference(alpha, k, dim):
+    """sech^{2k}|alpha| sqrt(Gamma(2k + m) / (m! Gamma(2k))) mu^m in mpmath."""
+    with mp.workdps(50):
+        r, two_k = mp.mpf(abs(alpha)), 2 * mp.mpf(k)
+        mu = mp.mpc(alpha) / r * mp.tanh(r)
+        return [mp.sech(r) ** two_k * mu**m
+                * mp.sqrt(mp.gamma(two_k + m) / (mp.factorial(m) * mp.gamma(two_k)))
+                for m in range(dim)]
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("alpha", [0.1, 0.8, 10.0, 15.0, 19.0, 20.0, 20j])
+def test_su11_perelomov_state_against_mpmath(alpha, k):
+    # 1 - tanh^2|alpha| cancelled: c_0 was off by 33% at |alpha| = 19 and 0 at 20
+    vec = states.su11_perelomov_state(alpha, k, 64)
+    worst = max(float(abs(mp.mpc(complex(c)) - ref) / abs(ref))
+                for c, ref in zip(vec, _su11_reference(alpha, k, 64)))
+    assert worst <= 1e-13
+    assert vec[0] != 0.0
+
+
 def test_eigen_residual_basics():
     ident = fock.identity(8)
     v = np.ones(8, dtype=complex)
