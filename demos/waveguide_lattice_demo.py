@@ -21,7 +21,7 @@ res = fl.propagate(spec, fl.vacuum(64), zmax=5.0, samples=100)
 print(f"  propagated vs closed form, max |difference|: {fl.compare_to_oracle(res, spec):.3e}")
 print(f"  norm drift {res.norm_drift:.3e}, edge leakage {res.edge_leakage:.3e}")
 print(f"  guide 0 at z = 5: {res.fields[-1][0]:.6f} "
-      f"(closed form {fl.impulse_analytic(spec, 0, 5.0):.6f})")
+      f"(closed form {fl.impulse_profile(spec, 5.0)[0]:.6f})")
 
 print("== linearly growing couplings ==")
 spec_g = LatticeSpec(LatticeKind.SU11, 400)

@@ -47,17 +47,13 @@ from .lattice import (
     PropagationResult,
     build_hamiltonian,
     compare_to_oracle,
-    impulse_analytic,
     impulse_profile,
     propagate,
 )
 from .specfun import bessel_i, bessel_j, bessel_j_all
 from .states import (
-    StateFamily,
-    StateSpec,
     bg_state,
     bg_state_ordered,
-    build_state,
     deformed_annihilation,
     eigen_residual,
     london_state,
@@ -76,8 +72,6 @@ __all__ = [
     "Ordering",
     "PhaseOperators",
     "PropagationResult",
-    "StateFamily",
-    "StateSpec",
     "Su11Generators",
     "TruncatedOperator",
     "algebra",
@@ -91,7 +85,6 @@ __all__ = [
     "bg_state",
     "bg_state_ordered",
     "build_hamiltonian",
-    "build_state",
     "checks",
     "commutator",
     "compare_to_oracle",
@@ -102,7 +95,6 @@ __all__ = [
     "expm",
     "fock",
     "identity",
-    "impulse_analytic",
     "impulse_profile",
     "lattice",
     "london_state",

@@ -10,7 +10,9 @@ with the ``index`` and ``guide`` cells as integers.  The argparse tree is
 built once per process.
 
 Options may also come from a flat ``key = value`` config file passed with
-``--config``; explicit flags win over file values.  Exit codes: 0 success
+``--config``; explicit flags win over file values.  An option's value may
+start with '-' (``--alpha -0.5+1i``) unless it is one of the command's own
+flags.  Exit codes: 0 success
 (all residuals within tolerance for the checking commands), 2 usage,
 3 range or precondition violation, 4 Bessel-root singularity,
 5 truncation overflow, 6 numeric failure (an exhausted memory included).
@@ -41,11 +43,12 @@ _COMMON_OPTIONS = {
     "output": (str, None, False),
 }
 
-_STATE_FAMILIES = {
-    "phase": states.StateFamily.PHASE,
-    "bg": states.StateFamily.BARUT_GIRARDELLO,
-    "london": states.StateFamily.LONDON,
-    "su11": states.StateFamily.SU11_PERELOMOV,
+# state family -> builder of its amplitudes from the parsed options
+_STATE_BUILDERS = {
+    "phase": lambda p: states.phase_state(p["phi"], p["dim"]),
+    "bg": lambda p: states.bg_state(p["alpha"], p["dim"]),
+    "london": lambda p: states.london_state(p["alpha"], p["dim"]),
+    "su11": lambda p: states.su11_perelomov_state(p["alpha"], p["k"], p["dim"]),
 }
 
 _LATTICE_KINDS = {
@@ -186,9 +189,35 @@ def _build_parser():
     return parser
 
 
+def _join_values(argv):
+    """``argv`` with each ``--name value`` of a value option written ``--name=value``.
+
+    argparse reads a token that starts with '-' as a flag unless it looks
+    like a plain negative decimal, so ``--alpha -0.5+1i`` or ``--xplus
+    -1e-3`` would be refused.  Here a value option of the subcommand takes
+    the next token unless that token is one of the subcommand's own flags.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    table = {**_OPTION_TABLES[argv[0]], **_COMMON_OPTIONS, "config": (str, None, False)}
+    flags = {"-h", "--help", *("--" + name.replace("_", "-") for name in table)}
+    takes_value = {"--" + name.replace("_", "-") for name, (conv, _, _) in table.items()
+                   if conv is not _parse_bool}
+    out, i = [argv[0]], 1
+    while i < len(argv):
+        if (argv[i] in takes_value and i + 1 < len(argv)
+                and argv[i + 1].split("=", 1)[0] not in flags):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def parse_args(argv):
     """Turn an argument vector into a validated :class:`RunConfig`."""
-    ns = _build_parser().parse_args(argv)
+    ns = _build_parser().parse_args(_join_values(argv))
     command = ns.command
     file_values = _load_config_file(ns.config) if ns.config else {}
 
@@ -225,8 +254,8 @@ def _validate(command, params):
         raise RangeError(f"--dim {params['dim']} exceeds {fock.MAX_DIM}")
     if command == "state":
         family = params["family"]
-        if family not in _STATE_FAMILIES:
-            raise UsageError(f"family must be one of {sorted(_STATE_FAMILIES)}, got {family!r}")
+        if family not in _STATE_BUILDERS:
+            raise UsageError(f"family must be one of {sorted(_STATE_BUILDERS)}, got {family!r}")
         if family == "phase":
             if params["phi"] is None:
                 raise UsageError("phase states need --phi")
@@ -308,11 +337,7 @@ def _meta(config):
 
 
 def _run_state(params):
-    family = _STATE_FAMILIES[params["family"]]
-    param = params["phi"] if family is states.StateFamily.PHASE else params["alpha"]
-    spec = states.StateSpec(family=family, param=param, dim=params["dim"],
-                            bargmann_k=params["k"])
-    vec = states.build_state(spec)
+    vec = _STATE_BUILDERS[params["family"]](params)
     if params["normalize"]:
         norm2 = fock.norm_sq(vec)
         if not (math.isfinite(norm2) and norm2 > 0.0):

@@ -14,9 +14,15 @@ responses
     Su11:     I_m(z) = sech z (i tanh z)^m,
     Uniform:  I_m(z) = (1/z) i^m (m + 1) J_{m+1}(2 z),
 
-which numeric propagation is compared against.  Propagation diagonalises
-H once and is exact up to rounding (see :func:`propagate`), so what that
-comparison measures is the truncation of the array.
+which numeric propagation is compared against.  As the paper says, the
+arrays "are solved through the use of nonlinear coherent states of SU(1,1)
+or the exponential phase operator": the responses are i^m times the
+SU(1,1) displaced vacuum at k = 1/2 and r = z, and i^m times the London
+(shift-operator) state at alpha = z, and they are computed as exactly that
+(the real rows of :mod:`focklat.states` and the exact i^m table
+:func:`_quarter_turns`).  Propagation diagonalises H once and is exact up
+to rounding (see :func:`propagate`), so what that comparison measures is
+the truncation of the array.
 """
 
 import math
@@ -25,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import specfun
+from . import states
 from .errors import (
     DimensionError,
     NumericError,
@@ -101,6 +107,14 @@ def build_hamiltonian(spec):
     return TruncatedOperator(np.diag(g, 1) + np.diag(g, -1), edge_band=band)
 
 
+def _quarter_turns(dim):
+    """Q = diag(i^m) for m < dim, as its diagonal.
+
+    Exact: numpy's complex power of 1j goes through exp and log from m = 100.
+    """
+    return np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+
+
 def propagate(spec, input_field, zmax, samples=200):
     """Fields E(z) = exp(i sign z H) E(0), exact up to rounding (about 1e-15).
 
@@ -157,7 +171,9 @@ def propagate(spec, input_field, zmax, samples=200):
         )
 
     lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(spec.dim), _couplings(spec)[0])
-    quarter = np.array([1, 1j, -1, -1j])[np.arange(spec.dim) % 4]  # i^m; 1j**m is inexact
+    if not math.isfinite(zmax * float(np.abs(lam).max())):
+        raise NumericError(f"zmax = {zmax} times the largest eigenvalue overflows")
+    quarter = _quarter_turns(spec.dim)
     z_grid = np.linspace(0.0, zmax, samples + 1)
     phases = np.exp((1j * spec.sign) * np.outer(z_grid[1:], lam))
     # Re(Q* U exp(i sign z lam) U^T Q x) = R(z) x for x = Re(Q* E(0)), Im(Q* E(0))
@@ -186,20 +202,14 @@ def propagate(spec, input_field, zmax, samples=200):
                              edge_leakage=float(edge[-1]))
 
 
-def _sech(x):
-    try:
-        return 1.0 / math.cosh(x)
-    except OverflowError:  # x past ~710.5, where sech x = 2 e^-x in double precision
-        return 2.0 * math.exp(-x)
-
-
 def impulse_profiles(spec, zs):
     """Closed-form response of all guides to unit input at guide 0, at every z.
 
-    Returns shape (len(zs), dim).  The uniform lattice's Bessel rows come
-    from one batched downward pass (:func:`specfun.bessel_j_rows`), so a
-    whole z grid costs one recurrence instead of one per sample; below
-    z = 2^-30 its field is the leading term i^m z^m / m! instead.
+    Returns shape (len(zs), dim): Q times the real rows of the SU(1,1)
+    displaced vacuum at k = 1/2 (:func:`states._su11_rows`) or of the
+    London state (:func:`states._london_rows`), whose Bessel rows come
+    from one batched downward pass.  The uniform closed form stops at
+    z = 25, where its Bessel argument 2z leaves the Bessel table.
     """
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 1:
@@ -207,25 +217,11 @@ def impulse_profiles(spec, zs):
     bad = ~(np.isfinite(zs) & (zs >= 0))
     if bad.any():
         raise RangeError(f"z must be finite and non-negative, got {zs[bad][0]}")
-    m = np.arange(spec.dim)
-    out = np.zeros((len(zs), spec.dim), dtype=complex)
-    out[zs == 0.0, 0] = 1.0
-    live = zs != 0.0
-    z = zs[live]
     if spec.kind is LatticeKind.SU11:
-        # math.cosh and math.tanh per z: numpy's can differ in the last bit,
-        # and the CLI prints these values with every digit
-        sech = np.array([_sech(x) for x in z])
-        tanh = np.array([math.tanh(x) for x in z])
-        out[live] = sech[:, None] * (1j * tanh[:, None]) ** m
+        rows = states._su11_rows(zs, 0.5, spec.dim)
     else:
-        # below specfun's leading-term cutoff the field is i^m z^m / m! to
-        # rounding; the complex division by a subnormal z would overflow
-        tiny = z < specfun._LEADING_TERM_CUTOFF
-        rows = np.flatnonzero(live)
-        jv = specfun.bessel_j_rows(spec.dim, 2.0 * z[~tiny])
-        out[rows[~tiny]] = (1j**m) * (m + 1) * jv[:, 1:] / z[~tiny, None]
-        out[rows[tiny]] = (1j**m) * specfun._leading_term_j(spec.dim - 1, 2.0 * z[tiny])
+        rows = states._london_rows(zs, spec.dim, "z")
+    out = _quarter_turns(spec.dim) * rows
     out += 0.0  # turns signed zeros into 0.0, as propagate prints them
     return out
 
@@ -236,21 +232,6 @@ def impulse_profile(spec, z):
     The one-row case of :func:`impulse_profiles`.
     """
     return impulse_profiles(spec, [z])[0]
-
-
-def impulse_analytic(spec, m, z, input_guide=0):
-    """Closed-form field at guide ``m`` after distance ``z``, vacuum input.
-
-    Only input at guide 0 has a closed form; anything else raises
-    :class:`UnsupportedOracleError` (numeric propagation still works).
-    """
-    if input_guide != 0:
-        raise UnsupportedOracleError(
-            f"no closed-form response for input at guide {input_guide}; only guide 0"
-        )
-    if not 0 <= m < spec.dim:
-        raise DimensionError(f"guide index {m} outside [0, {spec.dim})")
-    return complex(impulse_profile(spec, z)[m])
 
 
 def compare_to_oracle(result, spec):

@@ -81,7 +81,7 @@ def _miller_j(tops, xs):
 
 
 def _leading_term_j(m_max, xs):
-    """(x/2)^m / m! for m = 0..m_max at every x of ``xs`` (all |x| small and > 0)."""
+    """(x/2)^m / m! for m = 0..m_max at every x of ``xs`` (all small and nonzero)."""
     out = np.ones((len(xs), m_max + 1))
     out[:, 1:] = np.cumprod((0.5 * xs)[:, None] / np.arange(1, m_max + 1), axis=1)
     return out

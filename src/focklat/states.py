@@ -14,47 +14,27 @@ exp(alpha (Vdag - V))|0>, mixes raising and lowering and is the real
 exponential of the skew-symmetric Vdag - V on a guarded space
 (:func:`algebra.shift_exponential`).  ``eigen_residual`` gives a uniform
 way to test the eigenvalue relations the states satisfy.
+
+The London and SU(1,1) closed forms are written once each, as real rows
+batched over the parameter (:func:`_london_rows`, :func:`_su11_rows`).
+The states are one row each; the waveguide lattices' impulse responses
+are the same rows times i^m (:mod:`focklat.lattice`), since the arrays
+"are solved through the use of nonlinear coherent states of SU(1,1) or
+the exponential phase operator".
 """
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from . import fock, specfun
 from .algebra import _two_prod, shift_exponential
 from .errors import BesselRootError, DimensionError, NumericError, RangeError
-from .fock import TruncatedOperator
+from .fock import TruncatedOperator, _check_dim
 
 MAX_ALPHA = 20.0  # keeps Bessel arguments 2|alpha| inside the table range
 
 _TWO_PI = 2.0 * math.pi
-
-
-class StateFamily(Enum):
-    PHASE = "phase"
-    BARUT_GIRARDELLO = "bg"
-    LONDON = "london"
-    SU11_PERELOMOV = "su11"
-
-
-@dataclass(frozen=True)
-class StateSpec:
-    """Family, parameter and space size, as accepted by the CLI."""
-
-    family: StateFamily
-    param: complex
-    dim: int
-    bargmann_k: float = 0.5
-
-
-def _check_dim(dim):
-    if not isinstance(dim, (int, np.integer)) or dim < 2:
-        raise DimensionError(f"state needs dimension >= 2, got {dim!r}")
-    if dim > fock.MAX_DIM:
-        raise RangeError(f"state dimension {dim} exceeds {fock.MAX_DIM}")
-    return int(dim)
 
 
 def _check_alpha(alpha):
@@ -175,24 +155,46 @@ def bg_state_ordered(alpha, dim):
     return u / math.sqrt(specfun.bessel_i(0, 2.0 * abs(alpha)))
 
 
+def _london_rows(xs, dim, name):
+    """Real London amplitudes (m + 1) J_{m+1}(2x) / x, m < dim, at every x of ``xs``.
+
+    Returns shape (len(xs), dim), with no cap on dim.  x = 0 gives the
+    vacuum (the amplitudes are 0/0 there, but the limit is regular), and
+    0 < |x| < 2^-30 the leading term x^m / m!, which J_{m+1}(2x) / x loses
+    to underflow.  Negative x needs no rule of its own: the Bessel rows
+    carry the parity (-1)^(m+1) and the division by x one more sign.  The
+    Bessel rows stop at |2x| = ``specfun.MAX_ARGUMENT``; a larger |x|
+    raises :class:`RangeError` naming the caller's parameter ``name``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    top = 0.5 * specfun.MAX_ARGUMENT
+    over = ~(np.abs(xs) <= top)
+    if over.any():
+        raise RangeError(f"|{name}| = {abs(xs[over][0])} exceeds {top} for the Bessel closed form")
+    out = np.zeros((len(xs), dim))
+    out[xs == 0.0, 0] = 1.0
+    tiny = (xs != 0.0) & (np.abs(xs) < specfun._LEADING_TERM_CUTOFF)
+    out[tiny] = specfun._leading_term_j(dim - 1, 2.0 * xs[tiny])
+    live = np.abs(xs) >= specfun._LEADING_TERM_CUTOFF
+    if live.any():
+        jv = specfun.bessel_j_rows(dim, 2.0 * xs[live])
+        out[live] = np.arange(1, dim + 1) * jv[:, 1:] / xs[live, None]
+    return out
+
+
 def london_state(alpha, dim):
     """Shift-operator coherent state with amplitudes
 
         c_j = (j + 1) J_{j+1}(2 alpha) / alpha,   alpha real,
 
-    continued to the vacuum at alpha = 0 (the amplitudes are 0/0 there,
-    but the limit is regular).
+    one row of :func:`_london_rows`, cast to complex.
     """
     dim = _check_dim(dim)
     if complex(alpha).imag != 0.0:
         raise RangeError("london_state takes a real parameter")
     alpha = float(np.real(alpha))
     _check_alpha(alpha)
-    if alpha == 0.0:
-        return fock.vacuum(dim)
-    j = np.arange(dim)
-    jv = specfun.bessel_j_all(dim, 2.0 * alpha)
-    return ((j + 1) * jv[1:] / alpha).astype(complex)
+    return _london_rows([alpha], dim, "alpha")[0].astype(complex)
 
 
 def london_state_ordered(alpha, dim, guard=None):
@@ -245,15 +247,42 @@ def deformed_annihilation(alpha, dim, root_tol=1e-10):
     return TruncatedOperator(mat, edge_band=0)
 
 
+def _su11_rows(rs, k, dim):
+    """Real SU(1,1) magnitudes at Bargmann index k, m < dim, at every r >= 0 of ``rs``,
+
+        sech^{2k} r  sqrt(Gamma(2k + m) / (m! Gamma(2k)))  tanh^m r.
+
+    Returns shape (len(rs), dim), with no cap on dim; r = 0 gives the
+    vacuum.  The prefactor is (1 / cosh r)^{2k}, with sech r = 2 e^-r once
+    cosh overflows (r past ~710.5): 1 - tanh^2 r cancels, losing all its
+    digits by r = 19, and exp(-2k log cosh r) loses ulp(r) of relative
+    accuracy.  tanh^m r is a real power; the phase is the caller's.
+    math.cosh and math.tanh are taken per r, since numpy's can differ in
+    the last bit and the CLI prints every digit.  Gamma ratios go through
+    log-gamma differences so large m cannot overflow; at huge k the rows
+    may hold inf or nan, which the caller checks.
+    """
+    lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
+    pre = []
+    for r in rs:
+        try:
+            sech = 1.0 / math.cosh(r)
+        except OverflowError:  # r past ~710.5, where sech r = 2 e^-r in double precision
+            sech = 2.0 * math.exp(-r)
+        pre.append(sech ** (2.0 * k))
+    tanh = np.array([math.tanh(r) for r in rs])
+    with np.errstate(all="ignore"):  # overflow at huge k
+        lg -= math.lgamma(2 * k)
+        return np.array(pre)[:, None] * np.exp(0.5 * lg) * tanh[:, None] ** np.arange(dim)
+
+
 def su11_perelomov_state(alpha, k, dim):
     """Group-displaced vacuum at Bargmann index k,
 
         c_m = (1 - |mu|^2)^k sqrt(Gamma(2k + m) / (m! Gamma(2k))) mu^m
 
-    with mu = (alpha/|alpha|) tanh|alpha| (mu = 0 at alpha = 0).  The
-    prefactor is taken as cosh|alpha|^(-2k): 1 - tanh^2 cancels, losing all
-    its digits by |alpha| = 19 and reaching 0 at 20.  Gamma ratios go
-    through log-gamma differences so large m cannot overflow.
+    with mu = (alpha/|alpha|) tanh|alpha| (mu = 0 at alpha = 0): the row of
+    :func:`_su11_rows` at r = |alpha|, times (alpha/|alpha|)^m.
     """
     dim = _check_dim(dim)
     alpha = _check_alpha(complex(alpha))
@@ -261,15 +290,10 @@ def su11_perelomov_state(alpha, k, dim):
         raise RangeError(f"Bargmann index must be positive and finite, got {k}")
     if alpha == 0:
         return fock.vacuum(dim)
-    mu = (alpha / abs(alpha)) * math.tanh(abs(alpha))
-    m = np.arange(dim)
-    lg = np.array([math.lgamma(2 * k + mm) - math.lgamma(mm + 1) for mm in m])
-    with np.errstate(all="ignore"):  # overflow at huge k is caught below
-        lg -= math.lgamma(2 * k)
-        out = math.cosh(abs(alpha)) ** (-2.0 * k) * np.exp(0.5 * lg) * mu**m
-    if not np.all(np.isfinite(out.view(float))):
+    row = _su11_rows([abs(alpha)], k, dim)[0]
+    if not np.all(np.isfinite(row)):
         raise NumericError(f"displaced-vacuum amplitudes are not finite at k = {k}")
-    return out
+    return row * (alpha / abs(alpha)) ** np.arange(dim)
 
 
 def eigen_residual(op, vec, eigenvalue, exclude_top=0):
@@ -284,18 +308,3 @@ def eigen_residual(op, vec, eigenvalue, exclude_top=0):
     keep = op.dim - int(exclude_top)
     r = op.apply(v) - complex(eigenvalue) * v
     return float(np.linalg.norm(r[:keep]) / np.linalg.norm(v))
-
-
-def build_state(spec):
-    """Construct the amplitudes described by a :class:`StateSpec`."""
-    if spec.family is StateFamily.PHASE:
-        if complex(spec.param).imag != 0.0:
-            raise RangeError("phase-state angle must be real")
-        return phase_state(float(np.real(spec.param)), spec.dim)
-    if spec.family is StateFamily.BARUT_GIRARDELLO:
-        return bg_state(spec.param, spec.dim)
-    if spec.family is StateFamily.LONDON:
-        return london_state(spec.param, spec.dim)
-    if spec.family is StateFamily.SU11_PERELOMOV:
-        return su11_perelomov_state(spec.param, spec.bargmann_k, spec.dim)
-    raise RangeError(f"unknown state family {spec.family!r}")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,10 +335,10 @@ def test_dimension_ceiling_is_a_range_error(argv, capsys):
 
 
 def test_memory_error_is_a_numeric_failure(monkeypatch, capsys):
-    def exhausted(spec):
+    def exhausted(phi, dim):
         raise MemoryError("simulated")
 
-    monkeypatch.setattr(cli.states, "build_state", exhausted)
+    monkeypatch.setattr(cli.states, "phase_state", exhausted)
     status, out, err = run_cli(["state", "--family", "phase", "--phi", "0", "--dim", "4"], capsys)
     assert status == 6 and out == "" and "error:" in err
 
@@ -384,9 +385,11 @@ def test_state_rows_match_the_per_cell_formatter(argv, normalize, fmt, capsys):
     status, out, _ = run_cli(argv, capsys)
     assert status == 0
     p = cli.parse_args(argv).params
-    family = cli._STATE_FAMILIES[p["family"]]
-    param = p["phi"] if p["family"] == "phase" else p["alpha"]
-    vec = cli.states.build_state(cli.states.StateSpec(family, param, p["dim"], p["k"]))
+    build = {"phase": lambda: cli.states.phase_state(p["phi"], p["dim"]),
+             "bg": lambda: cli.states.bg_state(p["alpha"], p["dim"]),
+             "london": lambda: cli.states.london_state(p["alpha"], p["dim"]),
+             "su11": lambda: cli.states.su11_perelomov_state(p["alpha"], p["k"], p["dim"])}
+    vec = build[p["family"]]()
     if normalize:
         vec = vec / np.sqrt(cli.fock.norm_sq(vec))
     cells = _reference_cells([], vec)
@@ -484,7 +487,7 @@ def test_su11_normalize_at_the_alpha_ceiling_is_finite(alpha, capsys):
 
 
 def test_normalize_of_a_zero_vector_is_a_numeric_error(monkeypatch, capsys):
-    monkeypatch.setattr(cli.states, "build_state", lambda spec: np.zeros(spec.dim, complex))
+    monkeypatch.setattr(cli.states, "bg_state", lambda alpha, dim: np.zeros(dim, complex))
     status, out, err = run_cli(["state", "--family", "bg", "--alpha", "1", "--dim", "4",
                                 "--normalize"], capsys)
     assert status == 6 and out == "" and "error:" in err
@@ -506,3 +509,38 @@ def test_uniform_closed_form_at_subnormal_z_is_finite(argv, capsys):
 def test_negative_dimension_is_a_dimension_error(suite, capsys):
     status, out, err = run_cli(["verify", "--suite", suite, "--dim", "-1"], capsys)
     assert status == 3 and out == "" and "error:" in err
+
+
+# ---- option values that start with '-' ----
+
+@pytest.mark.parametrize("command,option,status", [
+    ("state --family bg {} --dim 4", "--alpha -0.5+1i", 0),
+    ("bch-check {} --xzero 1 --xminus 0.1 --dim 8", "--xplus -1e-3", 0),
+    ("state --family london {} --dim 4", "--alpha -inf", 3),
+])
+def test_negative_option_value_reads_as_its_equals_spelling(command, option, status, capsys):
+    # argparse took "-0.5+1i", "-1e-3" and "-inf" for flags and exited 2
+    got = run_cli(command.format(option).split(), capsys)
+    assert got[0] == status
+    assert got == run_cli(command.format(option.replace(" ", "=")).split(), capsys)
+
+
+def test_option_followed_by_a_flag_still_misses_its_value(capsys):
+    status, out, _ = run_cli(["state", "--family", "bg", "--alpha", "--dim", "4"], capsys)
+    assert status == 2 and out == ""
+
+
+# ---- overflow is checked before it is computed ----
+
+@pytest.mark.parametrize("argv,status", [
+    (["propagate", "--lattice", "su11", "--zmax", "1e308", "--dim", "8"], 6),
+    (["propagate", "--lattice", "uniform", "--zmax", "1e308", "--dim", "8"], 6),
+    (["impulse", "--lattice", "uniform", "--zmax", "1e308", "--dim", "8"], 3),
+])
+def test_overflowing_z_exits_without_a_warning(argv, status, capsys):
+    # z * lambda and 2z overflowed first, and numpy warned on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(argv, capsys)
+    assert got == status and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

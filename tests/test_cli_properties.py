@@ -47,7 +47,7 @@ def dims(top):
 
 
 def _argv(command, options):
-    # --name=value, since argparse reads a separate "-inf" as an option
+    # --name=value; the separate spelling reads the same (tests/test_cli.py)
     argv = [command]
     for name, value in options.items():
         if value is True:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from focklat import fock, lattice, specfun, states
 from focklat.errors import (
@@ -74,22 +75,6 @@ def test_su11_guide0_amplitude():
     spec = LatticeSpec(LatticeKind.SU11, 400)
     res = lattice.propagate(spec, fock.vacuum(400), zmax=1.0, samples=50)
     assert abs(res.fields[-1][0]) == pytest.approx(1.0 / math.cosh(1.0), abs=1e-9)
-
-
-def test_impulse_analytic_values():
-    su = LatticeSpec(LatticeKind.SU11, 16)
-    uni = LatticeSpec(LatticeKind.UNIFORM, 16)
-    for spec in (su, uni):
-        assert lattice.impulse_analytic(spec, 0, 0.0) == 1.0
-        assert lattice.impulse_analytic(spec, 3, 0.0) == 0.0
-    got = lattice.impulse_analytic(su, 1, 1.0)
-    assert got == pytest.approx(1j * math.tanh(1.0) / math.cosh(1.0), abs=1e-15)
-    got = lattice.impulse_analytic(uni, 1, 1.0)
-    assert got == pytest.approx(2j * specfun.bessel_j(2, 2.0), abs=1e-14)
-    with pytest.raises(UnsupportedOracleError):
-        lattice.impulse_analytic(uni, 1, 1.0, input_guide=2)
-    with pytest.raises(RangeError):
-        lattice.impulse_analytic(uni, 1, -0.5)
 
 
 def test_uniform_propagation_matches_closed_form():
@@ -189,6 +174,76 @@ def test_uniform_profile_at_tiny_z_is_the_leading_term():
             assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
     # rows above the cutoff are the batched Bessel rows, unchanged by tiny ones
     assert np.array_equal(rows[-1], lattice.impulse_profile(spec, 0.5))
+
+
+# z = 0, subnormal-adjacent, below and above the leading-term cutoff, and the
+# London state's ceiling |alpha| = 20
+CLOSED_FORM_ZS = [0.0, 1e-300, 2.0**-31, 0.25, 0.75, 2.0, 7.3, 20.0]
+
+
+def _quarter(dim):
+    return np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+
+
+@pytest.mark.parametrize("dim", [8, 64, 400, 4096])
+def test_uniform_profile_is_the_london_state_times_i_to_the_m(dim):
+    spec = LatticeSpec(LatticeKind.UNIFORM, dim)
+    for z in CLOSED_FORM_ZS:
+        want = _quarter(dim) * states.london_state(z, dim) + 0.0
+        assert lattice.impulse_profile(spec, z).tobytes() == want.tobytes(), z
+
+
+@pytest.mark.parametrize("dim", [8, 64])
+def test_su11_profile_is_the_displaced_vacuum(dim):
+    spec = LatticeSpec(LatticeKind.SU11, dim)
+    for z in CLOSED_FORM_ZS:
+        want = states.su11_perelomov_state(1j * z, 0.5, dim)
+        assert np.array_equal(lattice.impulse_profile(spec, z), want), z
+
+
+def test_su11_profile_is_the_displaced_vacuum_at_400_guides():
+    # the state's phase (alpha/|alpha|)^m is numpy's complex power, which is
+    # exact below m = 100 and within a few ulps above
+    spec = LatticeSpec(LatticeKind.SU11, 400)
+    for z in CLOSED_FORM_ZS:
+        got = lattice.impulse_profile(spec, z)
+        want = states.su11_perelomov_state(1j * z, 0.5, 400)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), z
+
+
+@pytest.mark.parametrize("kind,dim,zs", [
+    (LatticeKind.SU11, 400, [0.37, 1.0, 2.0]),
+    (LatticeKind.UNIFORM, 200, [0.5, 1.0, 3.0]),
+])
+def test_closed_form_zeros_are_exact(kind, dim, zs):
+    # E_m is i^m times a real number: Re E_m = 0 at odd m, Im E_m = 0 at even m
+    rows = lattice.impulse_profiles(LatticeSpec(kind, dim), zs)
+    assert not rows.real[:, 1::2].any()
+    assert not rows.imag[:, 0::2].any()
+
+
+def _worst_relative(profile, reference):
+    """Largest |E_m - i^m ref_m| / |ref_m|, with i^m taken off exactly."""
+    real = profile * _quarter(len(profile)).conj()
+    assert not real.imag.any()
+    return max(float(abs(mp.mpf(float(c)) - ref) / abs(ref)) for c, ref in zip(real.real, reference))
+
+
+@pytest.mark.parametrize("z", [0.37, 1.0, 2.0])
+def test_su11_profile_against_mpmath(z):
+    got = lattice.impulse_profile(LatticeSpec(LatticeKind.SU11, 400), z)
+    with mp.workdps(50):
+        r = mp.mpf(z)
+        reference = [mp.sech(r) * mp.tanh(r) ** m for m in range(400)]
+        assert _worst_relative(got, reference) <= 3e-14
+
+
+def test_uniform_profile_against_mpmath():
+    z = 3.0
+    got = lattice.impulse_profile(LatticeSpec(LatticeKind.UNIFORM, 200), z)
+    with mp.workdps(50):
+        reference = [(m + 1) * series_j(m + 1, 2 * z) / z for m in range(200)]
+        assert _worst_relative(got, reference) <= 2e-15
 
 
 def test_impulse_profiles_reject_bad_z():

@@ -26,9 +26,11 @@ from focklat import algebra, fock, lattice, states
 from focklat.algebra import BCHParams, Ordering
 from focklat.lattice import LatticeKind, LatticeSpec
 
-for family, param in [("phase", 0.7), ("bg", 1 + 0.5j), ("london", 2.0), ("su11", 0.8)]:
-    states.build_state(states.StateSpec(states.StateFamily(family), param, 32))
-unloaded("build_state")
+states.phase_state(0.7, 32)
+states.bg_state(1 + 0.5j, 32)
+states.london_state(2.0, 32)
+states.su11_perelomov_state(0.8, 0.5, 32)
+unloaded("the state builders")
 
 b = BCHParams(plus=0.1 + 0.05j, zero=1.0, minus=0.1, ordering=Ordering.NORMAL_FIRST)
 assert algebra.verify_bch(b, 64) <= 1e-9

@@ -280,25 +280,26 @@ def test_su11_perelomov_state_against_mpmath(alpha, k):
     assert vec[0] != 0.0
 
 
+def test_su11_perelomov_state_over_random_draws_against_mpmath():
+    # |alpha| in [0.05, 5], phase 0, pi/2 or uniform, four Bargmann indices
+    rng = np.random.default_rng(20261018)
+    worst = 0.0
+    for i in range(60):
+        angle = (0.0, math.pi / 2, rng.uniform(0.0, 2.0 * math.pi))[i % 3]
+        alpha = rng.uniform(0.05, 5.0) * complex(math.cos(angle), math.sin(angle))
+        k = (0.5, 1.0, 1.5, 2.7)[i % 4]
+        vec = states.su11_perelomov_state(alpha, k, 64)
+        worst = max(worst, max(float(abs(mp.mpc(complex(c)) - ref) / abs(ref))
+                               for c, ref in zip(vec, _su11_reference(alpha, k, 64))))
+    assert worst <= 4.43e-14
+
+
 def test_eigen_residual_basics():
     ident = fock.identity(8)
     v = np.ones(8, dtype=complex)
     assert states.eigen_residual(ident, v, 1.0) == 0.0
     with pytest.raises(DimensionError):
         states.eigen_residual(ident, np.ones(9, dtype=complex), 1.0)
-
-
-def test_build_state_dispatch():
-    spec = states.StateSpec(states.StateFamily.PHASE, 0.7, 16)
-    assert np.array_equal(states.build_state(spec), states.phase_state(0.7, 16))
-    spec = states.StateSpec(states.StateFamily.LONDON, 1.5, 16)
-    assert np.array_equal(states.build_state(spec), states.london_state(1.5, 16))
-    spec = states.StateSpec(states.StateFamily.BARUT_GIRARDELLO, 1j, 16)
-    assert np.array_equal(states.build_state(spec), states.bg_state(1j, 16))
-    spec = states.StateSpec(states.StateFamily.SU11_PERELOMOV, 0.5j, 16, bargmann_k=0.5)
-    assert np.array_equal(states.build_state(spec), states.su11_perelomov_state(0.5j, 0.5, 16))
-    with pytest.raises(RangeError):
-        states.build_state(states.StateSpec(states.StateFamily.PHASE, 1j, 16))
 
 
 def test_london_amplitudes_match_series_oracle():
@@ -308,3 +309,16 @@ def test_london_amplitudes_match_series_oracle():
         expected = (j + 1) * float(series_j(j + 1, 2 * alpha)) / alpha
         assert vec[j].real == pytest.approx(expected, rel=1e-12, abs=1e-14)
         assert vec[j].imag == 0.0
+
+
+@pytest.mark.parametrize("alpha", [-1.7, -0.3, -2.0**-31, 2.0**-31, 1e-20, 1e-300, -1e-300,
+                                   5e-324])
+def test_london_state_at_negative_and_tiny_alpha_against_mpmath(alpha):
+    # below |alpha| = 2^-30 the amplitudes are the leading term alpha^j / j!;
+    # J_{j+1}(2 alpha) / alpha lost them to underflow
+    vec = states.london_state(alpha, 24)
+    assert not vec.imag.any()
+    for j, c in enumerate(vec.real):
+        with mp.workdps(60):
+            ref = float((j + 1) * series_j(j + 1, 2 * mp.mpf(alpha)) / mp.mpf(alpha))
+        assert c == pytest.approx(ref, rel=1e-12, abs=0.0), j
