@@ -4,7 +4,7 @@ and classical light propagation in coupled-waveguide lattices.
 Subpackages
 -----------
 ``specfun``   Bessel J/I evaluators with certified accuracy.
-``fock``      Dense truncated-space vectors, ladder operators, the dense
+``fock``      Dense truncated-space vectors and operators, the dense
               ``expm`` reference.
 ``algebra``   SU(1,1) generators, phase operators, reordering maps.
 ``states``    Phase, Barut-Girardello, London and displaced-vacuum states.
@@ -31,14 +31,11 @@ from .algebra import (
 )
 from .fock import (
     TruncatedOperator,
-    annihilation,
     basis_state,
     commutator,
-    creation,
     expm,
     identity,
     norm_sq,
-    number,
     vacuum,
 )
 from .lattice import (
@@ -75,7 +72,6 @@ __all__ = [
     "Su11Generators",
     "TruncatedOperator",
     "algebra",
-    "annihilation",
     "basis_state",
     "bch_antinormal_to_normal",
     "bch_normal_to_antinormal",
@@ -88,7 +84,6 @@ __all__ = [
     "checks",
     "commutator",
     "compare_to_oracle",
-    "creation",
     "deformed_annihilation",
     "eigen_residual",
     "errors",
@@ -100,7 +95,6 @@ __all__ = [
     "london_state",
     "london_state_ordered",
     "norm_sq",
-    "number",
     "phase_operators",
     "phase_state",
     "phase_state_perelomov",

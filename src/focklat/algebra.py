@@ -53,7 +53,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import fock
+from . import fock, specfun
 from .errors import (
     BranchError,
     DimensionError,
@@ -575,7 +575,11 @@ def shift_exponential(alpha, dim):
     Vdag - V is real and skew-symmetric, so the exponential is taken in
     real arithmetic by scaling and squaring with a Pade approximant
     (``scipy.linalg.expm``; Al-Mohy & Higham, SIAM J. Matrix Anal. Appl.
-    31, 2009); no eigendecomposition is involved.
+    31, 2009); no eigendecomposition is involved.  It builds the London
+    ordered form, which is checked against the Bessel closed form, so it
+    must not be a Bessel sum itself; the rotation check, checked against
+    a spectral side, takes the Bessel image sum
+    (:func:`_shift_exponential_images`) instead.
     """
     import scipy.linalg
 
@@ -584,6 +588,51 @@ def shift_exponential(alpha, dim):
     gen[n, n - 1] = alpha
     gen[n - 1, n] = -alpha
     return scipy.linalg.expm(gen)
+
+
+def _bessel_top(x):
+    """Smallest order n with (|x|/2)^n / n! < 2^-60.
+
+    That is an upper bound on |J_m(x)| for every m >= n, so the orders
+    above it are below rounding against entries of size 1.
+    """
+    half, n, bound = 0.5 * abs(x), 0, 1.0
+    while bound >= 2.0**-60:
+        n += 1
+        bound *= half / n
+    return n
+
+
+def _shift_exponential_images(alpha, dim):
+    """exp(alpha (Vdag - V)) on an N-level space from its Bessel image sum.
+
+    On the infinite ladder the exponential is the Toeplitz matrix
+    J_{m-n}(2 alpha).  The truncation puts walls at levels -1 and N.
+    Vdag - V commutes with the signed reflections f_m -> (-1)^m f_{-2-m}
+    and f_m -> -(-1)^(N+m) f_{2N-m}, whose invariant fields vanish at -1
+    and N respectively; together they translate by P = 2 (N + 1) with the
+    sign c = -(-1)^N.  So, with J_{-v} = (-1)^v J_v,
+
+        <m|exp(alpha (Vdag - V))|n> = K[m - n] + (-1)^n K[m + n + 2],
+        K[v] = sum_j c^j J_{v + j P}(2 alpha),
+
+    a Toeplitz plus a Hankel gather of one Bessel row
+    (:func:`specfun.bessel_j_all`), exact up to rounding.  Orders above
+    :func:`_bessel_top` count as 0; the row stops at |2 alpha| <= 50.
+    """
+    x = 2.0 * alpha
+    top = _bessel_top(x)
+    p = 2 * (dim + 1)
+    wrap = 1.0 if dim % 2 else -1.0  # c: K[v + P] = c K[v]
+    reach = top // p + 1
+    jv = specfun.bessel_j_all(top, x)
+    signed = np.zeros(2 * reach * p)  # J_v for v = -reach P .. reach P - 1
+    signed[reach * p:reach * p + top + 1] = jv
+    signed[reach * p - top:reach * p] = jv[:0:-1] * (-1.0) ** np.arange(top, 0, -1)
+    fold = wrap ** np.arange(-reach, reach) @ signed.reshape(2 * reach, p)  # K[v], 0 <= v < P
+    k = np.concatenate([wrap * fold[p - dim + 1:], fold[:2 * dim + 1]])  # v = 1 - N .. 2N
+    windows = np.lib.stride_tricks.sliding_window_view(k, dim)  # windows[i, j] = k[i + j]
+    return windows[:dim, ::-1] + windows[dim + 1:] * (-1.0) ** np.arange(dim)
 
 
 def _rotated_spectral(alpha, dim):
@@ -618,11 +667,11 @@ def rotation_conjugation_check(alpha, dim, edge_exclude=None):
     matrix with unit off-diagonals, decomposed once by
     ``scipy.linalg.eigh_tridiagonal`` (LAPACK MRRR), and the rotation is
     then applied to it numerically (:func:`_rotated_spectral`).  The right
-    side is the Pade exponential of the real skew-symmetric Vdag - V
-    (:func:`shift_exponential`).  Neither side goes through the other's
-    method or through the conjugation by diag(i^m): that conjugation is
-    the identity under test.  At alpha = 0 both sides are exactly the
-    identity and the residual is 0.
+    side is the exact Bessel image sum of the real skew-symmetric
+    Vdag - V (:func:`_shift_exponential_images`).  Neither side goes
+    through the other's method or through the conjugation by diag(i^m):
+    that conjugation is the identity under test.  At alpha = 0 both sides
+    are exactly the identity and the residual is 0.
 
     Raises
     ------
@@ -630,7 +679,8 @@ def rotation_conjugation_check(alpha, dim, edge_exclude=None):
         For dim < 2 or an edge exclusion outside [0, dim).
     RangeError
         For a dimension above ``fock.MAX_DIM``, a non-finite alpha, or
-        |alpha| > dim / 8.
+        |alpha| > min(dim / 8, 25); 25 keeps the Bessel argument 2 alpha
+        inside ``specfun``'s range.
     """
     dim = int(dim)
     if dim < 2:
@@ -642,7 +692,11 @@ def rotation_conjugation_check(alpha, dim, edge_exclude=None):
         raise RangeError(f"alpha must be finite, got {alpha}")
     if abs(alpha) > dim / 8:
         raise RangeError(f"|alpha| = {abs(alpha)} too large for dimension {dim} (need <= dim/8)")
+    if abs(alpha) > 0.5 * specfun.MAX_ARGUMENT:
+        raise RangeError(f"|alpha| = {abs(alpha)} exceeds {0.5 * specfun.MAX_ARGUMENT} "
+                         "for the Bessel image sum")
     b = math.ceil(dim / 4) if edge_exclude is None else int(edge_exclude)
     if not 0 <= b < dim:
         raise DimensionError(f"edge exclusion {b} outside [0, {dim})")
-    return _block_residual(_rotated_spectral(alpha, dim), shift_exponential(alpha, dim), dim - b)
+    return _block_residual(_rotated_spectral(alpha, dim), _shift_exponential_images(alpha, dim),
+                           dim - b)

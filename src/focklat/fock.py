@@ -111,34 +111,6 @@ def norm_sq(vec):
     return float(np.vdot(v, v).real)
 
 
-def annihilation(dim):
-    """Ladder-down operator: <m|a|n> = sqrt(n) delta_{m,n-1}."""
-    dim = _check_dim(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    mat[n - 1, n] = np.sqrt(n)
-    return TruncatedOperator(mat, edge_band=0)
-
-
-def creation(dim):
-    """Ladder-up operator, adjoint of :func:`annihilation`.
-
-    In the truncated space the top level is annihilated: adag|N-1> = 0,
-    so the last row/column is marked as edge.
-    """
-    dim = _check_dim(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(1, dim)
-    mat[n, n - 1] = np.sqrt(n)
-    return TruncatedOperator(mat, edge_band=1)
-
-
-def number(dim):
-    """Occupation-number operator diag(0, 1, ..., N-1)."""
-    dim = _check_dim(dim)
-    return TruncatedOperator(np.diag(np.arange(dim, dtype=float)).astype(complex), edge_band=0)
-
-
 def identity(dim):
     dim = _check_dim(dim)
     return TruncatedOperator(np.eye(dim, dtype=complex), edge_band=0)

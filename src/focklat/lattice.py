@@ -21,8 +21,11 @@ SU(1,1) displaced vacuum at k = 1/2 and r = z, and i^m times the London
 (shift-operator) state at alpha = z, and they are computed as exactly that
 (the real rows of :mod:`focklat.states` and the exact i^m table
 :func:`_quarter_turns`).  Propagation diagonalises H once and is exact up
-to rounding (see :func:`propagate`), so what that comparison measures is
-the truncation of the array.
+to rounding, so what that comparison measures is the truncation of the
+array.  H has a zero diagonal, so its spectrum is symmetric about 0
+(eigenvector u at lam, (-1)^m u at -lam) and the products of
+:func:`propagate` run over the positive half alone, in real arithmetic on
+the even and odd guides; it never passes through the i^m table.
 """
 
 import math
@@ -119,12 +122,29 @@ def propagate(spec, input_field, zmax, samples=200):
     """Fields E(z) = exp(i sign z H) E(0), exact up to rounding (about 1e-15).
 
     One decomposition H = U diag(lam) U^T (``scipy.linalg.eigh_tridiagonal``,
-    LAPACK MRRR) gives every sample at once.  The product is taken in the
-    quarter-turn frame Q = diag(i^m), where R(z) = Q* exp(i z H) Q is real:
-    Re(Q* E(0)) and Im(Q* E(0)) are propagated separately and only the real
-    part of each is kept.  So a component that is exactly zero in the closed
-    forms (E_m is i^m times a real number for a real input at one guide)
-    stays 0 instead of carrying about 1e-17 of round-off.
+    LAPACK MRRR) gives every sample at once.  H has a zero diagonal, so the
+    array is bipartite: with S = diag((-1)^m), S H S = -H and the
+    eigenpairs come as (lam, u) and (-lam, S u).  Each pair contributes
+    2 cos(theta) u_e u_e^T to the even-even block of the propagator (and
+    likewise odd-odd) and 2 i sin(theta) u_e u_o^T to the mixed blocks,
+    theta = sign z lam, so the products run over the positive half of the
+    spectrum only.  With Ue and Uo the even and odd rows of those
+    eigenvectors, a = Ue^T E(0)[even] and b = Uo^T E(0)[odd],
+
+        E(z)[even] = 2 Ue (cos(theta) a + i sin(theta) b),
+        E(z)[odd]  = 2 Uo (i sin(theta) a + cos(theta) b),
+
+    four real products of half the size.  Each u is the mean of the
+    computed eigenvector at lam and S times the one at -lam (and lam the
+    mean of the two magnitudes): MRRR relates the computed pair by S only
+    to about 1e-14 (SU(1,1), 200 guides), which the u at lam alone carries
+    into the fields, while the mean keeps them within 1e-15 of the closed
+    forms, as the sum over the full spectrum does.  An odd number of
+    guides adds one zero mode, which lives on the even guides only; it
+    enters with theta = 0 and weight 1.  For a real input at one guide, a
+    or b is 0, so a component that is exactly zero in the closed forms
+    (E_m is i^m times a real number) stays 0 instead of carrying about
+    1e-17 of round-off.
 
     Parameters
     ----------
@@ -170,21 +190,34 @@ def propagate(spec, input_field, zmax, samples=200):
             edge_leakage=float(abs(v[-1]) ** 2),
         )
 
-    lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(spec.dim), _couplings(spec)[0])
+    n, half = spec.dim, spec.dim // 2
+    lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(n), _couplings(spec)[0])
     if not math.isfinite(zmax * float(np.abs(lam).max())):
         raise NumericError(f"zmax = {zmax} times the largest eigenvalue overflows")
-    quarter = _quarter_turns(spec.dim)
+    # ascending order pairs column n - 1 - j (lam > 0) with column j (-lam)
+    pos, neg = vecs[:, n - half:], vecs[:, half - 1::-1]
+    flip = np.sign(np.einsum("ij,ij->j", pos[0::2], neg[0::2]))  # S neg ~ flip pos
+    ue, uo = pos[0::2] + flip * neg[0::2], pos[1::2] - flip * neg[1::2]  # 2 u_e, 2 u_o
+    rate = 0.5 * (lam[n - half:] - lam[half - 1::-1])
+    weight = np.full(half, 0.5)  # (2 u) (1/2) (2 u)^T = 2 u u^T
+    if n % 2:  # the zero mode: theta = 0, weight 1, even guides only
+        ue = np.column_stack([vecs[0::2, half], ue])
+        uo = np.column_stack([np.zeros(half), uo])
+        rate, weight = np.r_[0.0, rate], np.r_[1.0, weight]
     z_grid = np.linspace(0.0, zmax, samples + 1)
-    phases = np.exp((1j * spec.sign) * np.outer(z_grid[1:], lam))
-    # Re(Q* U exp(i sign z lam) U^T Q x) = R(z) x for x = Re(Q* E(0)), Im(Q* E(0))
-    w = quarter.conj() * v
-    parts = np.stack([w.real, w.imag])
-    c = phases * ((quarter.real * parts) @ vecs + 1j * ((quarter.imag * parts) @ vecs))[:, None]
-    re, im = (c.real @ vecs.T) * quarter.real + (c.imag @ vecs.T) * quarter.imag
-    fields = np.empty((samples + 1, spec.dim), dtype=complex)
+    theta = spec.sign * np.outer(z_grid[1:], rate)
+    cos, sin = np.cos(theta), np.sin(theta)
+    even, odd = v[0::2], v[1::2]
+    a_re, a_im = weight * (even.real @ ue), weight * (even.imag @ ue)
+    b_re, b_im = weight * (odd.real @ uo), weight * (odd.imag @ uo)
+    fields = np.empty((samples + 1, n), dtype=complex)
     fields[0] = v
+    fields[1:, 0::2].real = (cos * a_re - sin * b_im) @ ue.T
+    fields[1:, 0::2].imag = (cos * a_im + sin * b_re) @ ue.T
+    fields[1:, 1::2].real = (cos * b_re - sin * a_im) @ uo.T
+    fields[1:, 1::2].imag = (sin * a_re + cos * b_im) @ uo.T
     # adding +0.0 turns signed zeros into 0.0, as the closed forms print them
-    fields[1:] = quarter * (re + 1j * im) + 0.0
+    fields[1:] += 0.0
 
     if not np.all(np.isfinite(fields.view(float))):
         raise NumericError("propagation produced non-finite amplitudes")

@@ -259,10 +259,10 @@ def _su11_rows(rs, k, dim):
     accuracy.  tanh^m r is a real power; the phase is the caller's.
     math.cosh and math.tanh are taken per r, since numpy's can differ in
     the last bit and the CLI prints every digit.  Gamma ratios go through
-    log-gamma differences so large m cannot overflow; at huge k the rows
-    may hold inf or nan, which the caller checks.
+    log-gamma differences so large m cannot overflow, and are exactly 1 at
+    k = 1/2, the lattices' index; at huge k the rows may hold inf or nan,
+    which the caller checks.
     """
-    lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
     pre = []
     for r in rs:
         try:
@@ -272,8 +272,12 @@ def _su11_rows(rs, k, dim):
         pre.append(sech ** (2.0 * k))
     tanh = np.array([math.tanh(r) for r in rs])
     with np.errstate(all="ignore"):  # overflow at huge k
-        lg -= math.lgamma(2 * k)
-        return np.array(pre)[:, None] * np.exp(0.5 * lg) * tanh[:, None] ** np.arange(dim)
+        if 2 * k == 1:  # Gamma(1 + m) / (m! Gamma(1)) = 1 for every m
+            gamma_ratio = 1.0
+        else:
+            lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
+            gamma_ratio = np.exp(0.5 * (lg - math.lgamma(2 * k)))
+        return np.array(pre)[:, None] * gamma_ratio * tanh[:, None] ** np.arange(dim)
 
 
 def su11_perelomov_state(alpha, k, dim):
@@ -293,7 +297,9 @@ def su11_perelomov_state(alpha, k, dim):
     row = _su11_rows([abs(alpha)], k, dim)[0]
     if not np.all(np.isfinite(row)):
         raise NumericError(f"displaced-vacuum amplitudes are not finite at k = {k}")
-    return row * (alpha / abs(alpha)) ** np.arange(dim)
+    # a running product is exact when alpha/|alpha| is +-1 or +-i; numpy's
+    # complex power is not, as it goes through exp and log from m = 100
+    return row * np.cumprod(np.r_[1.0, np.full(dim - 1, alpha / abs(alpha))])
 
 
 def eigen_residual(op, vec, eigenvalue, exclude_top=0):

@@ -74,9 +74,9 @@ def test_lowering_is_weighted_shift(gen64):
     ph = algebra.phase_operators(n)
     inv = np.diag(1.0 / (np.arange(n) + 1.0))
     assert np.abs(inv @ gen64.kminus.mat - ph.v.mat).max() <= 1e-15
-    a = fock.annihilation(n)
+    a = np.diag(np.sqrt(np.arange(1.0, n)), 1)  # <m|a|n> = sqrt(n) delta_{m,n-1}
     scale = np.diag(1.0 / np.sqrt(np.arange(n) + 1.0))
-    assert np.abs(scale @ a.mat - ph.v.mat).max() <= 1e-15
+    assert np.abs(scale @ a - ph.v.mat).max() <= 1e-15
 
 
 def test_map_identity_params():
@@ -249,9 +249,19 @@ def test_rotation_conjugation():
 def test_rotation_conjugation_range_guard():
     with pytest.raises(RangeError):
         algebra.rotation_conjugation_check(3.0, 16)
+    # the Bessel image sum stops at |2 alpha| = 50
+    assert algebra.rotation_conjugation_check(25.0, 256) <= 1e-9
+    with pytest.raises(RangeError):
+        algebra.rotation_conjugation_check(25.5, 256)
 
 
-@pytest.mark.parametrize("alpha,dim", [(1.0, 64), (3.0, 256), (-2.0, 64)])
+# The images of the right side wrap around the array at small dims (2 to 16
+# at |alpha| = dim/8); odd dims wrap with the opposite sign.
+@pytest.mark.parametrize("alpha,dim", [
+    (1.0, 64), (3.0, 256), (-2.0, 64),
+    (0.25, 2), (-0.5, 4), (1.0, 8), (2.0, 16), (25.0, 256),
+    (0.375, 3), (-0.625, 5), (1.125, 9), (7.875, 63),
+])
 def test_rotation_sides_match_dense_exponentials(alpha, dim):
     # each side alone against the complex Pade exponentials it replaces, so a
     # fault common to both sides cannot hide in the residual
@@ -260,7 +270,8 @@ def test_rotation_sides_match_dense_exponentials(alpha, dim):
     left = (rot[:, None] * fock.expm(ph.vdag + ph.v, 1j * alpha).mat) * rot.conj()[None, :]
     right = fock.expm(ph.vdag - ph.v, alpha).mat
     for side, ref in ((algebra._rotated_spectral(alpha, dim), left),
-                      (algebra.shift_exponential(alpha, dim), right)):
+                      (algebra.shift_exponential(alpha, dim), right),
+                      (algebra._shift_exponential_images(alpha, dim), right)):
         assert np.all(np.abs(side - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 

@@ -94,6 +94,8 @@ def test_compare_requires_vacuum_input():
 @pytest.mark.parametrize("kind,dim,guide,zmax", [
     (LatticeKind.UNIFORM, 48, 3, 1.5),
     (LatticeKind.SU11, 96, 2, 0.4),
+    (LatticeKind.UNIFORM, 63, 5, 1.5),
+    (LatticeKind.SU11, 9, 1, 0.1),
 ])
 def test_excited_input_matches_exponential_column(kind, dim, guide, zmax):
     # no closed form off guide 0, but exp(i z H) provides the reference
@@ -102,6 +104,42 @@ def test_excited_input_matches_exponential_column(kind, dim, guide, zmax):
     h = lattice.build_hamiltonian(spec)
     col = fock.expm(h, 1j * zmax).mat[:, guide]
     assert np.abs(res.fields[-1] - col).max() <= 1e-9
+
+
+# (lattice, guides, z): odd and even N, each short enough to stay off the edge
+DENSE_CASES = [
+    (LatticeKind.UNIFORM, 9, 0.3), (LatticeKind.UNIFORM, 10, 0.3),
+    (LatticeKind.UNIFORM, 63, 1.5), (LatticeKind.UNIFORM, 64, 1.5),
+    (LatticeKind.SU11, 9, 0.1), (LatticeKind.SU11, 10, 0.1),
+    (LatticeKind.SU11, 63, 0.4), (LatticeKind.SU11, 64, 0.4),
+]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind,dim,zmax", DENSE_CASES)
+def test_propagation_matches_dense_exponential(kind, dim, zmax, sign):
+    # odd N has a zero mode on the even guides, which the positive half of
+    # the spectrum does not carry; it must still reach the fields
+    spec = LatticeSpec(kind, dim, sign)
+    field0 = np.zeros(dim, dtype=complex)
+    field0[:3] = [0.6 - 0.2j, -0.3 + 0.5j, 0.25j]
+    res = lattice.propagate(spec, field0, zmax=zmax, samples=4)
+    h = lattice.build_hamiltonian(spec)
+    for z, field in zip(res.z_grid, res.fields):
+        ref = fock.expm(h, 1j * sign * z).apply(field0)
+        assert np.abs(field - ref).max() <= 1e-12, z
+
+
+@pytest.mark.parametrize("kind,dim,zmax", [c for c in DENSE_CASES if c[1] % 2])
+def test_propagated_zeros_are_exact_at_odd_dims(kind, dim, zmax):
+    # E_m is i^m times a real number from guide 0, and i^(m-1) times one from guide 1
+    spec = LatticeSpec(kind, dim)
+    fields = lattice.propagate(spec, fock.vacuum(dim), zmax=zmax, samples=8).fields
+    assert not fields.real[:, 1::2].any()
+    assert not fields.imag[:, 0::2].any()
+    fields = lattice.propagate(spec, fock.basis_state(dim, 1), zmax=zmax, samples=8).fields
+    assert not fields.real[:, 0::2].any()
+    assert not fields.imag[:, 1::2].any()
 
 
 def test_uniform_field_is_phased_shift_state():
@@ -202,13 +240,13 @@ def test_su11_profile_is_the_displaced_vacuum(dim):
 
 
 def test_su11_profile_is_the_displaced_vacuum_at_400_guides():
-    # the state's phase (alpha/|alpha|)^m is numpy's complex power, which is
-    # exact below m = 100 and within a few ulps above
+    # the state's phase i^m is exact at every m, as the lattice's table is
     spec = LatticeSpec(LatticeKind.SU11, 400)
     for z in CLOSED_FORM_ZS:
         got = lattice.impulse_profile(spec, z)
         want = states.su11_perelomov_state(1j * z, 0.5, 400)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), z
+        assert np.array_equal(got, want), z
 
 
 @pytest.mark.parametrize("kind,dim,zs", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from focklat import algebra, fock, specfun, states
+from focklat import algebra, fock, lattice, specfun, states
 from focklat.errors import BesselRootError, DimensionError, RangeError
 
 from oracles import bisect_j_root, series_j
@@ -208,7 +208,7 @@ def test_dimension_ceiling():
     with pytest.raises(RangeError):
         states.phase_state(0.0, fock.MAX_DIM + 1)
     with pytest.raises(RangeError):
-        fock.number(fock.MAX_DIM + 1)
+        fock.identity(fock.MAX_DIM + 1)
 
 
 def test_deformed_annihilation_eigenvalue():
@@ -257,6 +257,18 @@ def test_su11_perelomov_state():
         states.su11_perelomov_state(1.0, 0.0, 8)
     with pytest.raises(RangeError):
         states.su11_perelomov_state(30.0, 0.5, 8)
+
+
+@pytest.mark.parametrize("unit", [1, 1j, -1, -1j])
+def test_su11_state_phase_is_exact_on_the_axes(unit):
+    # numpy's complex power (alpha/|alpha|)^m went through exp and log from
+    # m = 100 and left round-off where the closed form is exactly 0
+    vec = states.su11_perelomov_state(unit, 0.5, 400)
+    powers = np.array([1, unit, unit**2, unit**3])[np.arange(400) % 4]
+    assert np.array_equal(vec, powers * states._su11_rows([1.0], 0.5, 400)[0])
+    if unit == 1j:
+        spec = lattice.LatticeSpec(lattice.LatticeKind.SU11, 400)
+        assert np.array_equal(vec, lattice.impulse_profile(spec, 1.0))
 
 
 def _su11_reference(alpha, k, dim):
