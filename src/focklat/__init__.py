@@ -6,14 +6,14 @@ Subpackages
 ``specfun``   Bessel J/I evaluators with certified accuracy.
 ``fock``      Dense truncated-space vectors and operators, the dense
               ``expm`` reference.
-``algebra``   SU(1,1) generators, phase operators, reordering maps.
+``algebra``   SU(1,1) and phase operators, reordering maps, the tridiagonal eigensolver.
 ``states``    Phase, Barut-Girardello, London and displaced-vacuum states.
 ``lattice``   Waveguide-array Hamiltonians, exact spectral propagation, closed forms.
 ``checks``    Named verification suites (also behind ``focklat verify``).
 
-Importing the package does not load ``scipy.linalg``; the few functions
-that use it (``expm``, ``propagate``, the rotation check and the London
-ordered form) import it on their first call.
+Importing the package does not load ``scipy.linalg``; its tridiagonal
+eigensolver (behind ``propagate``, the rotation check and the London
+ordered form) and the dense ``expm`` reference load it on first call.
 """
 
 from . import algebra, checks, errors, fock, lattice, specfun, states

@@ -277,6 +277,8 @@ def _validate(command, params):
     elif command == "verify":
         if params["suite"] not in (*checks.SUITES, "all"):
             raise UsageError(f"suite must be one of {sorted(checks.SUITES)} or 'all'")
+        if params["seed"] < 0:
+            raise UsageError(f"seed must be non-negative, got {params['seed']}")
 
 
 def _f(x):

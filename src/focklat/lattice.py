@@ -35,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import states
+from .algebra import _half_spectrum
 from .errors import (
     DimensionError,
     NumericError,
@@ -121,27 +122,14 @@ def _quarter_turns(dim):
 def propagate(spec, input_field, zmax, samples=200):
     """Fields E(z) = exp(i sign z H) E(0), exact up to rounding (about 1e-15).
 
-    One decomposition H = U diag(lam) U^T (``scipy.linalg.eigh_tridiagonal``,
-    LAPACK MRRR) gives every sample at once.  H has a zero diagonal, so the
-    array is bipartite: with S = diag((-1)^m), S H S = -H and the
-    eigenpairs come as (lam, u) and (-lam, S u).  Each pair contributes
-    2 cos(theta) u_e u_e^T to the even-even block of the propagator (and
-    likewise odd-odd) and 2 i sin(theta) u_e u_o^T to the mixed blocks,
-    theta = sign z lam, so the products run over the positive half of the
-    spectrum only.  With Ue and Uo the even and odd rows of those
-    eigenvectors, a = Ue^T E(0)[even] and b = Uo^T E(0)[odd],
+    One half-spectrum decomposition of H (:func:`algebra._half_spectrum`)
+    gives every sample at once.  With theta = sign z rate,
+    a = weight Ue^T E(0)[even] and b = weight Uo^T E(0)[odd],
 
-        E(z)[even] = 2 Ue (cos(theta) a + i sin(theta) b),
-        E(z)[odd]  = 2 Uo (i sin(theta) a + cos(theta) b),
+        E(z)[even] = Ue (cos(theta) a + i sin(theta) b),
+        E(z)[odd]  = Uo (i sin(theta) a + cos(theta) b),
 
-    four real products of half the size.  Each u is the mean of the
-    computed eigenvector at lam and S times the one at -lam (and lam the
-    mean of the two magnitudes): MRRR relates the computed pair by S only
-    to about 1e-14 (SU(1,1), 200 guides), which the u at lam alone carries
-    into the fields, while the mean keeps them within 1e-15 of the closed
-    forms, as the sum over the full spectrum does.  An odd number of
-    guides adds one zero mode, which lives on the even guides only; it
-    enters with theta = 0 and weight 1.  For a real input at one guide, a
+    four real products of half the size.  For a real input at one guide, a
     or b is 0, so a component that is exactly zero in the closed forms
     (E_m is i^m times a real number) stays 0 instead of carrying about
     1e-17 of round-off.
@@ -167,8 +155,6 @@ def propagate(spec, input_field, zmax, samples=200):
         If the squared amplitude at the last guide exceeds ``LEAKAGE_LIMIT``
         at any sample; rerun with a larger array.
     """
-    import scipy.linalg
-
     v = np.asarray(input_field, dtype=complex).copy()
     if v.shape != (spec.dim,):
         raise DimensionError(f"input has shape {v.shape}, expected ({spec.dim},)")
@@ -190,27 +176,16 @@ def propagate(spec, input_field, zmax, samples=200):
             edge_leakage=float(abs(v[-1]) ** 2),
         )
 
-    n, half = spec.dim, spec.dim // 2
-    lam, vecs = scipy.linalg.eigh_tridiagonal(np.zeros(n), _couplings(spec)[0])
-    if not math.isfinite(zmax * float(np.abs(lam).max())):
+    ue, uo, rate, weight = _half_spectrum(_couplings(spec)[0])
+    if not math.isfinite(zmax * float(rate.max())):
         raise NumericError(f"zmax = {zmax} times the largest eigenvalue overflows")
-    # ascending order pairs column n - 1 - j (lam > 0) with column j (-lam)
-    pos, neg = vecs[:, n - half:], vecs[:, half - 1::-1]
-    flip = np.sign(np.einsum("ij,ij->j", pos[0::2], neg[0::2]))  # S neg ~ flip pos
-    ue, uo = pos[0::2] + flip * neg[0::2], pos[1::2] - flip * neg[1::2]  # 2 u_e, 2 u_o
-    rate = 0.5 * (lam[n - half:] - lam[half - 1::-1])
-    weight = np.full(half, 0.5)  # (2 u) (1/2) (2 u)^T = 2 u u^T
-    if n % 2:  # the zero mode: theta = 0, weight 1, even guides only
-        ue = np.column_stack([vecs[0::2, half], ue])
-        uo = np.column_stack([np.zeros(half), uo])
-        rate, weight = np.r_[0.0, rate], np.r_[1.0, weight]
     z_grid = np.linspace(0.0, zmax, samples + 1)
     theta = spec.sign * np.outer(z_grid[1:], rate)
     cos, sin = np.cos(theta), np.sin(theta)
     even, odd = v[0::2], v[1::2]
     a_re, a_im = weight * (even.real @ ue), weight * (even.imag @ ue)
     b_re, b_im = weight * (odd.real @ uo), weight * (odd.imag @ uo)
-    fields = np.empty((samples + 1, n), dtype=complex)
+    fields = np.empty((samples + 1, spec.dim), dtype=complex)
     fields[0] = v
     fields[1:, 0::2].real = (cos * a_re - sin * b_im) @ ue.T
     fields[1:, 0::2].imag = (cos * a_im + sin * b_re) @ ue.T

@@ -10,10 +10,10 @@ truncated to dim levels gives exactly the first dim amplitudes of the
 untruncated product: no guard levels are needed.  Their ladder factors are
 nilpotent, so each exponential is a finite Taylor sum, applied term by
 term as a ladder shift (:func:`_ladder_exp`).  The London state,
-exp(alpha (Vdag - V))|0>, mixes raising and lowering and is the real
-exponential of the skew-symmetric Vdag - V on a guarded space
-(:func:`algebra.shift_exponential`).  ``eigen_residual`` gives a uniform
-way to test the eigenvalue relations the states satisfy.
+exp(alpha (Vdag - V))|0>, mixes raising and lowering: it is spectral, on
+dim levels plus a guard from the Bessel image bound
+(:func:`london_state_ordered`).  ``eigen_residual`` gives a uniform way to
+test the eigenvalue relations the states satisfy.
 
 The London and SU(1,1) closed forms are written once each, as real rows
 batched over the parameter (:func:`_london_rows`, :func:`_su11_rows`).
@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import fock, specfun
-from .algebra import _two_prod, shift_exponential
+from .algebra import _bessel_top, _half_spectrum, _two_prod
 from .errors import BesselRootError, DimensionError, NumericError, RangeError
 from .fock import TruncatedOperator, _check_dim
 
@@ -41,6 +41,12 @@ def _check_alpha(alpha):
     if not abs(alpha) <= MAX_ALPHA:
         raise RangeError(f"|alpha| = {abs(alpha)} exceeds supported maximum {MAX_ALPHA}")
     return alpha
+
+
+def _real_alpha(alpha, caller):
+    if complex(alpha).imag != 0.0:
+        raise RangeError(f"{caller} takes a real parameter")
+    return _check_alpha(float(np.real(alpha)))
 
 
 def _phase_factors(phi, dim):
@@ -190,30 +196,37 @@ def london_state(alpha, dim):
     one row of :func:`_london_rows`, cast to complex.
     """
     dim = _check_dim(dim)
-    if complex(alpha).imag != 0.0:
-        raise RangeError("london_state takes a real parameter")
-    alpha = float(np.real(alpha))
-    _check_alpha(alpha)
+    alpha = _real_alpha(alpha, "london_state")
     return _london_rows([alpha], dim, "alpha")[0].astype(complex)
 
 
-def london_state_ordered(alpha, dim, guard=None):
-    """London state via exp(alpha (Vdag - V)) |0> in a guarded space.
+def london_state_ordered(alpha, dim):
+    """London state exp(alpha (Vdag - V)) |0> from the half spectrum of Vdag + V.
 
-    The state is column 0 of the real exponential of the skew-symmetric
-    alpha (Vdag - V) on dim + guard levels (:func:`shift_exponential`),
-    cut back to dim and cast to complex.  The default guard,
-    ceil(2 e |alpha|) + 32 levels, keeps the reflection from the top of
-    the working space out of the retained amplitudes.
+    exp(alpha (Vdag - V)) = Q* exp(i alpha (Vdag + V)) Q, Q = diag(i^m), so
+    the state is Q* times the uniform lattice's response at z = alpha, from
+    :func:`algebra._half_spectrum`; alpha = 0 gives the vacuum exactly.  On
+    dim + g levels the exponential is a Bessel image sum
+    (:func:`algebra._shift_exponential_images`) whose j = 0 term is the
+    untruncated state and whose other terms reach kept levels only with
+    order >= dim + 2g + 1; g is the smallest guard >= 0 putting that order
+    at or past ``_bessel_top(2 alpha)``, where |J| < 2^-60.  The bound only sizes
+    the space; no Bessel function is evaluated, so this form checks
+    :func:`london_state` independently.
     """
     dim = _check_dim(dim)
-    if complex(alpha).imag != 0.0:
-        raise RangeError("london_state takes a real parameter")
-    alpha = float(np.real(alpha))
-    _check_alpha(alpha)
-    if guard is None:
-        guard = int(math.ceil(2.0 * abs(alpha) * math.e)) + 32
-    return shift_exponential(alpha, dim + int(guard))[:dim, 0].astype(complex)
+    alpha = _real_alpha(alpha, "london_state")
+    if alpha == 0.0:
+        return fock.vacuum(dim)
+    levels = dim + max(0, math.ceil((_bessel_top(2.0 * alpha) - dim - 1) / 2))
+    ue, uo, rate, weight = _half_spectrum(np.ones(levels - 1))
+    col = weight * ue[0]
+    out = np.empty(levels)
+    out[0::2] = ue @ (np.cos(alpha * rate) * col)
+    out[1::2] = uo @ (np.sin(alpha * rate) * col)
+    out[2::4] *= -1.0  # Q*: (-1)^(m/2) on even m, (-1)^((m-1)/2) on odd m
+    out[3::4] *= -1.0
+    return out[:dim].astype(complex)
 
 
 def deformed_annihilation(alpha, dim, root_tol=1e-10):
@@ -227,10 +240,7 @@ def deformed_annihilation(alpha, dim, root_tol=1e-10):
     does not trip the guard.
     """
     dim = _check_dim(dim)
-    if complex(alpha).imag != 0.0:
-        raise RangeError("deformed_annihilation takes a real parameter")
-    alpha = float(np.real(alpha))
-    _check_alpha(alpha)
+    alpha = _real_alpha(alpha, "deformed_annihilation")
     jv = specfun.bessel_j_all(dim + 1, 2.0 * alpha) if alpha != 0.0 else np.zeros(dim + 2)
     for n in range(dim - 1):
         neighbour = max(abs(jv[n + 1]), abs(jv[n + 3])) if n + 3 <= dim + 1 else abs(jv[n + 1])

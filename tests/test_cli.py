@@ -308,6 +308,12 @@ def test_verify_with_no_retained_levels_is_a_dimension_error(capsys):
     assert status == 3 and "error:" in err
 
 
+def test_negative_seed_is_a_usage_error(capsys):
+    # exit 1 is kept for a check that ran and failed
+    status, out, err = run_cli(["verify", "--suite", "algebra", "--seed", "-1"], capsys)
+    assert status == 2 and out == "" and "seed" in err
+
+
 def test_output_into_missing_directory_is_usage_error(tmp_path, capsys):
     target = tmp_path / "missing" / "x.csv"
     status, out, err = run_cli(

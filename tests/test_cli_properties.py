@@ -150,6 +150,8 @@ def _numeric_values(out):
 # the generators allocated before checking the dimension: a raw ValueError
 @example(argv=["verify", "--suite", "algebra", "--dim", "-1"])
 @example(argv=["verify", "--suite", "all", "--dim", "-1"])
+# numpy refused the seed with a raw ValueError, which exited 1
+@example(argv=["verify", "--suite", "algebra", "--seed", "-1"])
 def test_every_command_exits_with_a_readme_code_and_finite_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

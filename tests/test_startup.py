@@ -2,14 +2,22 @@
 
 ``import scipy.linalg`` costs about as much as the rest of the package's
 import, and every CLI command is a fresh process, so only the functions
-that use it (``fock.expm``, ``algebra.shift_exponential``,
-``algebra._rotated_spectral`` and ``lattice.propagate``) import it.
+that use it import it: ``algebra._half_spectrum``, the one tridiagonal
+eigensolver (behind ``lattice.propagate``, the rotation check and
+``states.london_state_ordered``), and ``fock.expm``, the tests' dense
+reference, which no library path calls.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import scipy.linalg
+
+from focklat import algebra, cli, fock, lattice, states
+from focklat.lattice import LatticeKind, LatticeSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -65,3 +73,19 @@ def test_scipy_linalg_is_loaded_only_where_it_is_used():
     done = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_no_library_path_calls_dense_expm(monkeypatch):
+    # fock.expm, the tests' reference, is the one caller of scipy.linalg.expm
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library path called scipy.linalg.expm")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    ordered = states.london_state_ordered(2.0, 32)
+    assert np.abs(ordered - states.london_state(2.0, 32)).max() <= 1e-14
+    assert algebra.rotation_conjugation_check(3.0, 256) <= 1e-9
+    for kind, dim in ((LatticeKind.SU11, 400), (LatticeKind.UNIFORM, 64)):
+        spec = LatticeSpec(kind, dim)
+        result = lattice.propagate(spec, fock.vacuum(dim), 2.0)
+        assert lattice.compare_to_oracle(result, spec) <= 1e-8

@@ -188,17 +188,34 @@ def test_london_state_basics():
 
 def test_london_state_ordered_form():
     direct = states.london_state(2.0, 32)
-    ordered = states.london_state_ordered(2.0, 32, guard=64)
+    ordered = states.london_state_ordered(2.0, 32)
     assert np.abs(direct - ordered).max() <= 1e-9
 
 
 @pytest.mark.parametrize("alpha,dim", [(2.0, 32), (-2.7, 64), (0.4, 48), (3.0, 64)])
 def test_london_ordered_matches_complex_expm(alpha, dim):
-    # the real exponential's column against the complex Pade route it replaces
-    guard = int(math.ceil(2.0 * abs(alpha) * math.e)) + 32
-    ph = algebra.phase_operators(dim + guard)
-    ref = fock.expm(ph.vdag - ph.v, alpha).apply(fock.vacuum(dim + guard))[:dim]
+    # the spectral column against the complex Pade exponential on 64 more levels
+    ph = algebra.phase_operators(dim + 64)
+    ref = fock.expm(ph.vdag - ph.v, alpha).apply(fock.vacuum(dim + 64))[:dim]
     assert np.abs(states.london_state_ordered(alpha, dim) - ref).max() <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.25, -0.25, 1.7, -3.0, 8.0, 17.3, 20.0, -20.0])
+@pytest.mark.parametrize("dim", [2, 3, 14, 33, 64])
+def test_london_ordered_matches_closed_form(alpha, dim):
+    # the guard from the Bessel image bound leaves only rounding
+    ordered = states.london_state_ordered(alpha, dim)
+    assert np.abs(ordered - states.london_state(alpha, dim)).max() <= 5e-15
+
+
+def test_london_ordered_matches_closed_form_at_the_dimension_ceiling():
+    ordered = states.london_state_ordered(5.0, fock.MAX_DIM)
+    assert np.abs(ordered - states.london_state(5.0, fock.MAX_DIM)).max() <= 5e-15
+
+
+def test_london_ordered_at_zero_is_the_vacuum():
+    assert np.array_equal(states.london_state_ordered(0.0, 9), fock.vacuum(9))
+    assert np.array_equal(states.london_state_ordered(-0.0, 2), fock.vacuum(2))
 
 
 def test_dimension_ceiling():
