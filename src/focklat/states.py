@@ -11,9 +11,9 @@ untruncated product: no guard levels are needed.  Their ladder factors are
 nilpotent, so each exponential is a finite Taylor sum, applied term by
 term as a ladder shift (:func:`_ladder_exp`).  The London state,
 exp(alpha (Vdag - V))|0>, mixes raising and lowering: it is spectral, on
-dim levels plus a guard from the Bessel image bound
-(:func:`london_state_ordered`).  ``eigen_residual`` gives a uniform way to
-test the eigenvalue relations the states satisfy.
+the levels the Bessel image bound asks for, which follow |alpha| rather
+than dim (:func:`london_state_ordered`).  ``eigen_residual`` gives a
+uniform way to test the eigenvalue relations the states satisfy.
 
 The London and SU(1,1) closed forms are written once each, as real rows
 batched over the parameter (:func:`_london_rows`, :func:`_su11_rows`).
@@ -206,27 +206,34 @@ def london_state_ordered(alpha, dim):
     exp(alpha (Vdag - V)) = Q* exp(i alpha (Vdag + V)) Q, Q = diag(i^m), so
     the state is Q* times the uniform lattice's response at z = alpha, from
     :func:`algebra._half_spectrum`; alpha = 0 gives the vacuum exactly.  On
-    dim + g levels the exponential is a Bessel image sum
+    W levels the exponential is a Bessel image sum
     (:func:`algebra._shift_exponential_images`) whose j = 0 term is the
     untruncated state and whose other terms reach kept levels only with
-    order >= dim + 2g + 1; g is the smallest guard >= 0 putting that order
-    at or past ``_bessel_top(2 alpha)``, where |J| < 2^-60.  The bound only sizes
-    the space; no Bessel function is evaluated, so this form checks
-    :func:`london_state` independently.
+    order >= W + 1.  With t = ``_bessel_top(2 alpha)``, where |J| < 2^-60,
+    W = min(dim + g, max(2, t)): dim plus the smallest guard g >= 0 putting
+    the order dim + 2g + 1 at or past t, or t levels when the state has died
+    out before dim.  The amplitudes from W up are then at most
+    |alpha|^m / m! < 2^-60 and are left exactly 0, so the work and memory
+    follow |alpha|, not dim.  The bound only sizes the space; no Bessel
+    function is evaluated, so this form checks :func:`london_state`
+    independently.
     """
     dim = _check_dim(dim)
     alpha = _real_alpha(alpha, "london_state")
     if alpha == 0.0:
         return fock.vacuum(dim)
-    levels = dim + max(0, math.ceil((_bessel_top(2.0 * alpha) - dim - 1) / 2))
+    top = _bessel_top(2.0 * alpha)
+    levels = min(dim + max(0, math.ceil((top - dim - 1) / 2)), max(2, top))
     ue, uo, rate, weight = _half_spectrum(np.ones(levels - 1))
     col = weight * ue[0]
-    out = np.empty(levels)
-    out[0::2] = ue @ (np.cos(alpha * rate) * col)
-    out[1::2] = uo @ (np.sin(alpha * rate) * col)
-    out[2::4] *= -1.0  # Q*: (-1)^(m/2) on even m, (-1)^((m-1)/2) on odd m
-    out[3::4] *= -1.0
-    return out[:dim].astype(complex)
+    amp = np.empty(levels)
+    amp[0::2] = ue @ (np.cos(alpha * rate) * col)
+    amp[1::2] = uo @ (np.sin(alpha * rate) * col)
+    amp[2::4] *= -1.0  # Q*: (-1)^(m/2) on even m, (-1)^((m-1)/2) on odd m
+    amp[3::4] *= -1.0
+    out = np.zeros(dim, dtype=complex)
+    out[:levels] = amp[:dim]
+    return out
 
 
 def deformed_annihilation(alpha, dim, root_tol=1e-10):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,25 @@ def test_rotation_conjugation():
     assert algebra.rotation_conjugation_check(0.0, 16) == 0.0
     assert algebra.rotation_conjugation_check(1.0, 64, edge_exclude=16) <= 1e-9
     assert algebra.rotation_conjugation_check(3.0, 256, edge_exclude=64) <= 1e-9
+
+
+def test_rotation_conjugation_with_exact_quarter_turns():
+    # the signs (-1)^floor(m/2) are exact, so only the two sides' rounding is left
+    assert algebra.rotation_conjugation_check(3.0, 1024) <= 5e-15
+    assert algebra._rotated_exponential(1.0, 9).dtype == np.float64
+    assert algebra._rotated_exponential(0.0, 9).dtype == np.float64
+
+
+def test_rotation_conjugation_holds_about_three_real_matrices():
+    dim = 512
+    algebra.rotation_conjugation_check(3.0, dim)  # imports and caches outside the count
+    tracemalloc.start()
+    try:
+        algebra.rotation_conjugation_check(3.0, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * dim**2
 
 
 def test_rotation_conjugation_range_guard():

@@ -175,6 +175,17 @@ def test_propagate_diagnostics_footer(capsys):
     assert oracle_err <= 1e-8
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_propagate_oracle_with_one_kept_guide(dim, capsys):
+    # the su11 edge band leaves guide 0 alone, so no odd guide is compared
+    status, out, _ = run_cli(
+        ["propagate", "--lattice=su11", "--input-waveguide=0", "--zmax=0.0", f"--dim={dim}"],
+        capsys)
+    assert status == 0
+    footer = dict(line[2:].split(" = ") for line in out.splitlines() if line.startswith("# "))
+    assert math.isfinite(float(footer["oracle_max_error"]))
+
+
 def test_propagate_excited_input_has_no_oracle_line(capsys):
     status, out, _ = run_cli(
         ["propagate", "--lattice", "uniform", "--zmax", "0.5", "--dim", "32",

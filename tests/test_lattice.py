@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,49 @@ def test_compare_to_oracle_is_the_worst_sample():
     worst = max(float(np.abs(f[:31] - lattice.impulse_profile(spec, float(z))[:31]).max())
                 for z, f in zip(res.z_grid, res.fields))
     assert lattice.compare_to_oracle(res, spec) == worst
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind,dim,zmax", [
+    (LatticeKind.SU11, 2, 1e-5), (LatticeKind.SU11, 2, 0.0), (LatticeKind.SU11, 3, 1e-3),
+    (LatticeKind.SU11, 200, 1.5), (LatticeKind.SU11, 401, 2.0),
+    (LatticeKind.UNIFORM, 33, 3.0), (LatticeKind.UNIFORM, 64, 5.0),
+    (LatticeKind.UNIFORM, 65, 5.0),
+])
+def test_compare_to_oracle_is_the_complex_modulus(kind, dim, zmax, sign):
+    # per parity against the signed real rows: bitwise the modulus of the
+    # complex difference from impulse_profiles, also where a parity has no
+    # kept guide (su11 at dim 2 keeps guide 0 alone)
+    spec = LatticeSpec(kind, dim, sign)
+    res = lattice.propagate(spec, fock.vacuum(dim), zmax)
+    keep = dim - lattice.build_hamiltonian(spec).edge_band
+    ana = lattice.impulse_profiles(spec, res.z_grid)
+    modulus = np.abs(res.fields[:, :keep] - ana[:, :keep]).max()
+    assert lattice.compare_to_oracle(res, spec) == modulus
+
+
+def test_compare_to_oracle_takes_the_modulus_of_both_components():
+    # an input within 1e-12 of unit input makes the component that is 0 in
+    # the closed forms nonzero; it then enters through hypot
+    spec = LatticeSpec(LatticeKind.UNIFORM, 32)
+    res = lattice.propagate(spec, fock.vacuum(32) + 1e-13 * fock.basis_state(32, 1), 2.0)
+    assert res.fields[1:, 1::2].real.any()
+    ana = lattice.impulse_profiles(spec, res.z_grid)
+    assert lattice.compare_to_oracle(res, spec) == pytest.approx(
+        np.abs(res.fields[:, :31] - ana[:, :31]).max(), rel=1e-15)
+
+
+def test_compare_to_oracle_holds_no_complex_closed_form():
+    spec = LatticeSpec(LatticeKind.SU11, 400)
+    res = lattice.propagate(spec, fock.vacuum(400), 2.0, samples=200)
+    lattice.compare_to_oracle(res, spec)
+    tracemalloc.start()
+    try:
+        lattice.compare_to_oracle(res, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * 201 * 400  # the real rows, and not much more
 
 
 def test_su11_profile_past_cosh_overflow():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,8 +210,17 @@ def test_london_ordered_matches_closed_form(alpha, dim):
 
 
 def test_london_ordered_matches_closed_form_at_the_dimension_ceiling():
-    ordered = states.london_state_ordered(5.0, fock.MAX_DIM)
+    # the working size follows alpha, not dim: _bessel_top(10) = 38 levels
+    states.london_state_ordered(5.0, 64)  # imports outside the count
+    tracemalloc.start()
+    try:
+        ordered = states.london_state_ordered(5.0, fock.MAX_DIM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * fock.MAX_DIM
     assert np.abs(ordered - states.london_state(5.0, fock.MAX_DIM)).max() <= 5e-15
+    assert not ordered[algebra._bessel_top(10.0):].any()
 
 
 def test_london_ordered_at_zero_is_the_vacuum():
