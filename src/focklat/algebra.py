@@ -662,6 +662,18 @@ def _half_spectrum(g):
     return ue, uo, rate, weight
 
 
+def _turn_signs(n):
+    """(-1)^floor(m/2) for m < n, exactly.
+
+    The signs of the quarter turns i^m = (-1)^floor(m/2) times 1 (even m)
+    or i (odd m); every module that applies Q = diag(i^m) takes them here.
+    """
+    signs = np.ones(n)
+    signs[2::4] = -1.0
+    signs[3::4] = -1.0
+    return signs
+
+
 def _rotated_exponential(alpha, dim):
     """exp(-i pi n/2) exp(i alpha (Vdag + V)) exp(i pi n/2) on N levels, as a real matrix.
 
@@ -675,9 +687,9 @@ def _rotated_exponential(alpha, dim):
     if alpha == 0.0:
         return np.eye(dim)
     ue, uo, rate, weight = _half_spectrum(np.ones(dim - 1))
-    turns = (-1.0) ** np.arange(len(ue))[:, None]  # (-1)^floor(m/2) on the rows of ue, uo
-    ue *= turns
-    uo *= turns[:len(uo)]
+    turns = _turn_signs(dim)[:, None]
+    ue *= turns[0::2]
+    uo *= turns[1::2]
     cos, sin = weight * np.cos(alpha * rate), weight * np.sin(alpha * rate)
     out = np.empty((dim, dim))
     out[0::2, 0::2] = (ue * cos) @ ue.T

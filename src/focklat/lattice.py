@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import states
-from .algebra import _half_spectrum
+from .algebra import _half_spectrum, _turn_signs
 from .errors import (
     DimensionError,
     NumericError,
@@ -112,11 +112,14 @@ def build_hamiltonian(spec):
 
 
 def _quarter_turns(dim):
-    """Q = diag(i^m) for m < dim, as its diagonal.
-
-    Exact: numpy's complex power of 1j goes through exp and log from m = 100.
+    """Q = diag(i^m) for m < dim, as its diagonal: the exact signs
+    (-1)^floor(m/2) of :func:`algebra._turn_signs` on 1 (even m) or i (odd m).
     """
-    return np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+    signs = _turn_signs(dim)
+    turns = np.zeros(dim, dtype=complex)
+    turns.real[0::2] = signs[0::2]
+    turns.imag[1::2] = signs[1::2]
+    return turns
 
 
 def propagate(spec, input_field, zmax, samples=200):
@@ -253,11 +256,12 @@ def compare_to_oracle(result, spec):
     Hamiltonian's edge band are excluded from the comparison.  The closed
     form i^m r_m is real on the even guides and imaginary on the odd ones,
     so each parity is compared against its signed real rows,
-    (-1)^floor(m/2) r_m: the modulus of the difference is |re - expected|
-    on the even guides and |im - expected| on the odd ones while the other
-    component is 0, as :func:`propagate` leaves it for unit input, and their
-    hypot otherwise.  No complex copy of the closed form is made.  The rows
-    are taken for every guide and then cut, so they are those of
+    (-1)^floor(m/2) r_m (:func:`algebra._turn_signs`): the modulus of the
+    difference is the hypot of (re - expected, im) on the even guides and
+    (im - expected, re) on the odd ones, which is exactly |re - expected|
+    or |im - expected| where the other component is 0, as :func:`propagate`
+    leaves it for unit input.  No complex copy of the closed form is made.
+    The rows are taken for every guide and then cut, so they are those of
     :func:`impulse_profiles`.
     """
     first = result.fields[0]
@@ -267,17 +271,12 @@ def compare_to_oracle(result, spec):
         raise UnsupportedOracleError("closed forms exist only for unit input at guide 0")
     keep = spec.dim - _couplings(spec)[1]
     rows = _closed_form_rows(spec, result.z_grid)
-    rows[:, 2::4] *= -1.0  # i^m = (-1)^floor(m/2) times 1 (even m) or i (odd m)
-    rows[:, 3::4] *= -1.0
+    rows *= _turn_signs(spec.dim)
     worst = []
     for parity, (on, off) in enumerate([(result.fields.real, result.fields.imag),
                                         (result.fields.imag, result.fields.real)]):
         cut = slice(parity, keep, 2)
         if parity < keep:  # else no kept guide has this parity
             dev = np.subtract(on[:, cut], rows[:, cut])
-            if off[:, cut].any():
-                np.hypot(dev, off[:, cut], out=dev)
-            else:  # the closed forms' zero component, exactly 0 for unit input
-                np.abs(dev, out=dev)
-            worst.append(dev.max())
+            worst.append(np.hypot(dev, off[:, cut], out=dev).max())
     return float(np.max(worst))

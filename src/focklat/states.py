@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from . import fock, specfun
-from .algebra import _bessel_top, _half_spectrum, _two_prod
+from .algebra import _bessel_top, _half_spectrum, _turn_signs, _two_prod
 from .errors import BesselRootError, DimensionError, NumericError, RangeError
 from .fock import TruncatedOperator, _check_dim
 
@@ -229,8 +229,7 @@ def london_state_ordered(alpha, dim):
     amp = np.empty(levels)
     amp[0::2] = ue @ (np.cos(alpha * rate) * col)
     amp[1::2] = uo @ (np.sin(alpha * rate) * col)
-    amp[2::4] *= -1.0  # Q*: (-1)^(m/2) on even m, (-1)^((m-1)/2) on odd m
-    amp[3::4] *= -1.0
+    amp *= _turn_signs(levels)  # Q* on the real rows: (-1)^floor(m/2)
     out = np.zeros(dim, dtype=complex)
     out[:levels] = amp[:dim]
     return out

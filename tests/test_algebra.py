@@ -254,6 +254,15 @@ def test_rotation_conjugation_with_exact_quarter_turns():
     assert algebra._rotated_exponential(0.0, 9).dtype == np.float64
 
 
+def test_turn_signs_are_the_quarter_turns():
+    # i^m = (-1)^floor(m/2) times 1 (even m) or i (odd m), at every m
+    m = np.arange(1000)
+    signs = algebra._turn_signs(len(m))
+    assert np.array_equal(signs, np.where(m % 4 < 2, 1.0, -1.0))
+    turns = np.array([1, 1j, -1, -1j])[m % 4]
+    assert np.array_equal(np.where(m % 2, 1j, 1.0) * signs, turns)
+
+
 def test_rotation_conjugation_holds_about_three_real_matrices():
     dim = 512
     algebra.rotation_conjugation_check(3.0, dim)  # imports and caches outside the count

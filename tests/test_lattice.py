@@ -212,7 +212,7 @@ def test_compare_to_oracle_is_the_complex_modulus(kind, dim, zmax, sign):
 
 def test_compare_to_oracle_takes_the_modulus_of_both_components():
     # an input within 1e-12 of unit input makes the component that is 0 in
-    # the closed forms nonzero; it then enters through hypot
+    # the closed forms nonzero, so it counts in the modulus
     spec = LatticeSpec(LatticeKind.UNIFORM, 32)
     res = lattice.propagate(spec, fock.vacuum(32) + 1e-13 * fock.basis_state(32, 1), 2.0)
     assert res.fields[1:, 1::2].real.any()
