@@ -13,8 +13,10 @@ the exponential triple product
 
 and ``verify_bch`` measures the identity at the matrix level.
 
-Every tridiagonal exponential (lattice propagation, the London ordered form,
-the rotation check's left side) comes from one eigensolver, :func:`_half_spectrum`.
+Every tridiagonal exponential comes from one eigensolver,
+:func:`_half_spectrum`: lattice propagation, and exp(alpha (Vdag - V)) on N
+levels (:func:`_rotated_exponential`), which is both the rotation check's
+left side and the London ordered form.
 
 ``verify_bch`` evaluates both ordered products from closed forms rather
 than from matrix exponentials.  The truncated ladder generators are
@@ -186,12 +188,15 @@ def _check_finite(params):
                          f"({params.plus}, {params.zero}, {params.minus})")
 
 
-def _block_residual(lhs, rhs, keep):
-    lb = lhs[:keep, :keep]
-    rb = rhs[:keep, :keep]
-    dev = np.abs(lb - rb).max()
-    scale = max(np.abs(lb).max(), np.abs(rb).max())
-    return float(dev / max(1.0, scale))
+def _block_residual(lhs, rhs):
+    """max |lhs - rhs| over max(1, the largest entry of either); overwrites lhs.
+
+    The difference is taken in lhs's own buffer, after the scale is read,
+    so the check holds no third array of the blocks' size.
+    """
+    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
+    lhs -= rhs
+    return float(np.abs(lhs).max() / max(1.0, scale))
 
 
 # Double-double arithmetic on float arrays.  A real value is a pair
@@ -475,15 +480,6 @@ def _ordered_blocks(sides, keep, levels, binom):
     return blocks
 
 
-def _ordered_block(params, keep, levels, binom):
-    """Leading keep x keep block of the ordered triple product of ``params``.
-
-    The one-side case of :func:`_ordered_blocks`, which ``verify_bch``
-    calls with both sides so that they share one power pass.
-    """
-    return _ordered_blocks((params,), keep, levels, binom)[0]
-
-
 def _default_guard(params, dim, keep):
     """Levels past ``dim`` at which the antinormal-first sums may stop.
 
@@ -516,7 +512,7 @@ def _default_guard(params, dim, keep):
                      f"levels (|B+ B- B0| = {q:.6g})")
 
 
-def verify_bch(params, dim, edge_exclude=None, guard=None):
+def verify_bch(params, dim, edge_exclude=None):
     """Residual of the reordering identity, measured at matrix level.
 
     Both ordered triple products are evaluated on the leading
@@ -534,11 +530,10 @@ def verify_bch(params, dim, edge_exclude=None, guard=None):
     underflows where the entries are representable.  The entries carry an
     absolute error of about 2^-53 of the normalisation plus 2^-100 of the
     largest term; on |X+-| <= 0.3 the residual is ~1e-14.  The
-    normal-first sums are finite.  The antinormal-first sums run over the
-    working space of dim + ``guard`` levels; by default the guard is the
-    smallest one whose dropped tail is provably below 2^-53 (zero when B+
-    or B- vanishes, where each block is a single term), found within
-    dim + guard <= 1024.
+    normal-first sums are finite.  The antinormal-first sums run over
+    dim plus the smallest guard whose dropped tail is provably below 2^-53
+    (:func:`_default_guard`; zero when B+ or B- vanishes, where each block
+    is a single term), found within dim + guard <= 1024.
 
     The principal logarithm of the zero-parameter is used on both sides;
     sweeps crossing arg = +-pi must unwrap externally.
@@ -546,10 +541,10 @@ def verify_bch(params, dim, edge_exclude=None, guard=None):
     Raises
     ------
     DimensionError
-        For dim < 2, an edge exclusion outside [0, dim) or a negative guard.
+        For dim < 2 or an edge exclusion outside [0, dim).
     RangeError
-        For non-finite parameters, a dimension or working space above 1024
-        levels, or antinormal sums that do not converge within it
+        For non-finite parameters, a dimension above 1024 levels, or
+        antinormal sums that do not converge within 1024 levels
         (|B+ B- B0| near or above 1).
     NumericError
         If an ordering map or a product overflows double precision.
@@ -570,17 +565,12 @@ def verify_bch(params, dim, edge_exclude=None, guard=None):
     _check_finite(a_side)
     _check_finite(b_side)
     keep = dim - b
-    guard = _default_guard(b_side, dim, keep) if guard is None else int(guard)
-    if guard < 0:
-        raise DimensionError(f"guard must be >= 0, got {guard}")
-    levels = dim + guard
-    if levels > _MAX_LEVELS:
-        raise RangeError(f"working dimension {levels} exceeds {_MAX_LEVELS}")
+    levels = dim + _default_guard(b_side, dim, keep)  # at most _MAX_LEVELS
     binom = _pascal(max(64, 1 << (levels - 1).bit_length()))
     lhs, rhs = _ordered_blocks((a_side, b_side), keep, levels, binom)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise NumericError("an ordered product overflows double precision")
-    return _block_residual(lhs, rhs, keep)
+    return _block_residual(lhs, rhs)
 
 
 def _bessel_top(x):
@@ -675,14 +665,18 @@ def _turn_signs(n):
 
 
 def _rotated_exponential(alpha, dim):
-    """exp(-i pi n/2) exp(i alpha (Vdag + V)) exp(i pi n/2) on N levels, as a real matrix.
+    """exp(alpha (Vdag - V)) on N levels, as a real matrix.
 
-    With Q = diag(i^m), (Q* M Q)[m, n] = i^(n - m) M[m, n].  The middle
-    factor M has real diagonal blocks and an imaginary even-odd block
-    (:func:`_half_spectrum`), so the product is real: the exact signs
-    (-1)^floor(m/2) on the rows of ue and uo, and a minus sign on the
-    even-odd block, turn it into three real block products over the half
-    spectrum.  Exactly I at alpha = 0.
+    It is computed as exp(-i pi n/2) exp(i alpha (Vdag + V)) exp(i pi n/2):
+    with Q = diag(i^m), Q* (Vdag + V) Q = -i (Vdag - V) holds entry by entry
+    on the truncated space, so the two are equal on all N x N entries.
+    (Q* M Q)[m, n] = i^(n - m) M[m, n], and the middle factor M has real
+    diagonal blocks and an imaginary even-odd block (:func:`_half_spectrum`),
+    so the product is real: the exact signs (-1)^floor(m/2) on the rows of
+    ue and uo, and a minus sign on the even-odd block, turn it into three
+    real block products over the half spectrum.  Exactly I at alpha = 0.
+    The left side of :func:`rotation_conjugation_check`; its first column
+    is the London state (:func:`states.london_state_ordered`).
     """
     if alpha == 0.0:
         return np.eye(dim)
@@ -699,13 +693,16 @@ def _rotated_exponential(alpha, dim):
     return out
 
 
-def rotation_conjugation_check(alpha, dim, edge_exclude=None):
+def rotation_conjugation_check(alpha, dim):
     """Residual of the quarter-turn conjugation identity
 
         exp(-i pi n/2) exp(i a (Vdag + V)) exp(i pi n/2) = exp(a (Vdag - V))
 
-    for real ``alpha``, compared entrywise on the leading block with the
-    same normalisation as :func:`verify_bch`.
+    for real ``alpha``, compared entrywise on the whole N-level space with
+    the same normalisation as :func:`verify_bch`.  Q* (Vdag + V) Q =
+    -i (Vdag - V), Q = diag(i^m), holds entry by entry on the truncation,
+    so the identity is exact there at every dimension and alpha: no level
+    is left out and no alpha is too large for the space.
 
     The two sides are real matrices from independent real-arithmetic
     methods: the left from the half spectrum of the unit tridiagonal
@@ -721,27 +718,18 @@ def rotation_conjugation_check(alpha, dim, edge_exclude=None):
     Raises
     ------
     DimensionError
-        For dim < 2 or an edge exclusion outside [0, dim).
+        For a dim that is not an integer >= 2.
     RangeError
         For a dimension above ``fock.MAX_DIM``, a non-finite alpha, or
-        |alpha| > min(dim / 8, 25); 25 keeps the Bessel argument 2 alpha
-        inside ``specfun``'s range.
+        |alpha| > 25, which keeps the Bessel argument 2 alpha inside
+        ``specfun``'s range.
     """
-    dim = int(dim)
-    if dim < 2:
-        raise DimensionError(f"need dimension >= 2, got {dim}")
-    if dim > fock.MAX_DIM:
-        raise RangeError(f"dimension {dim} exceeds {fock.MAX_DIM}")
+    dim = fock._check_dim(dim)
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise RangeError(f"alpha must be finite, got {alpha}")
-    if abs(alpha) > dim / 8:
-        raise RangeError(f"|alpha| = {abs(alpha)} too large for dimension {dim} (need <= dim/8)")
     if abs(alpha) > 0.5 * specfun.MAX_ARGUMENT:
         raise RangeError(f"|alpha| = {abs(alpha)} exceeds {0.5 * specfun.MAX_ARGUMENT} "
                          "for the Bessel image sum")
-    b = math.ceil(dim / 4) if edge_exclude is None else int(edge_exclude)
-    if not 0 <= b < dim:
-        raise DimensionError(f"edge exclusion {b} outside [0, {dim})")
     return _block_residual(_rotated_exponential(alpha, dim),
-                           _shift_exponential_images(alpha, dim), dim - b)
+                           _shift_exponential_images(alpha, dim))

@@ -10,9 +10,11 @@ truncated to dim levels gives exactly the first dim amplitudes of the
 untruncated product: no guard levels are needed.  Their ladder factors are
 nilpotent, so each exponential is a finite Taylor sum, applied term by
 term as a ladder shift (:func:`_ladder_exp`).  The London state,
-exp(alpha (Vdag - V))|0>, mixes raising and lowering: it is spectral, on
-the levels the Bessel image bound asks for, which follow |alpha| rather
-than dim (:func:`london_state_ordered`).  ``eigen_residual`` gives a
+exp(alpha (Vdag - V))|0>, mixes raising and lowering: it is the first
+column of the one spectral kernel for that exponential, the rotation
+check's left side (:func:`algebra._rotated_exponential`), on the levels the
+Bessel image bound asks for, which follow |alpha| rather than dim
+(:func:`london_state_ordered`).  ``eigen_residual`` gives a
 uniform way to test the eigenvalue relations the states satisfy.
 
 The London and SU(1,1) closed forms are written once each, as real rows
@@ -28,11 +30,15 @@ import math
 import numpy as np
 
 from . import fock, specfun
-from .algebra import _bessel_top, _half_spectrum, _turn_signs, _two_prod
+from .algebra import _bessel_top, _rotated_exponential, _two_prod
 from .errors import BesselRootError, DimensionError, NumericError, RangeError
 from .fock import TruncatedOperator, _check_dim
 
 MAX_ALPHA = 20.0  # keeps Bessel arguments 2|alpha| inside the table range
+
+# deformed_annihilation's lowering operator is singular where some
+# |J_{n+2}(2 alpha)| is at most this fraction of its neighbouring orders
+_ROOT_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
 
@@ -203,54 +209,45 @@ def london_state(alpha, dim):
 def london_state_ordered(alpha, dim):
     """London state exp(alpha (Vdag - V)) |0> from the half spectrum of Vdag + V.
 
-    exp(alpha (Vdag - V)) = Q* exp(i alpha (Vdag + V)) Q, Q = diag(i^m), so
-    the state is Q* times the uniform lattice's response at z = alpha, from
-    :func:`algebra._half_spectrum`; alpha = 0 gives the vacuum exactly.  On
-    W levels the exponential is a Bessel image sum
-    (:func:`algebra._shift_exponential_images`) whose j = 0 term is the
-    untruncated state and whose other terms reach kept levels only with
-    order >= W + 1.  With t = ``_bessel_top(2 alpha)``, where |J| < 2^-60,
-    W = min(dim + g, max(2, t)): dim plus the smallest guard g >= 0 putting
-    the order dim + 2g + 1 at or past t, or t levels when the state has died
-    out before dim.  The amplitudes from W up are then at most
-    |alpha|^m / m! < 2^-60 and are left exactly 0, so the work and memory
-    follow |alpha|, not dim.  The bound only sizes the space; no Bessel
-    function is evaluated, so this form checks :func:`london_state`
-    independently.
+    The first column of :func:`algebra._rotated_exponential` on W levels,
+    the one kernel for exp(alpha (Vdag - V)); it is exactly I at alpha = 0,
+    which gives the vacuum exactly.  On W levels the exponential is
+    also a Bessel image sum (:func:`algebra._shift_exponential_images`)
+    whose j = 0 term is the untruncated state and whose other terms reach
+    kept levels only with order >= W + 1.  With t = ``_bessel_top(2 alpha)``,
+    where |J| < 2^-60, W = min(dim + g, max(2, t)): dim plus the smallest
+    guard g >= 0 putting the order dim + 2g + 1 at or past t, or t levels
+    when the state has died out before dim.  The amplitudes from W up are
+    then at most |alpha|^m / m! < 2^-60 and are left exactly 0, so the work
+    and memory follow |alpha|, not dim (W <= 86 for |alpha| <= 20).  The
+    bound only sizes the space; no Bessel function is evaluated, so this
+    form checks :func:`london_state` independently.
     """
     dim = _check_dim(dim)
     alpha = _real_alpha(alpha, "london_state")
-    if alpha == 0.0:
-        return fock.vacuum(dim)
     top = _bessel_top(2.0 * alpha)
     levels = min(dim + max(0, math.ceil((top - dim - 1) / 2)), max(2, top))
-    ue, uo, rate, weight = _half_spectrum(np.ones(levels - 1))
-    col = weight * ue[0]
-    amp = np.empty(levels)
-    amp[0::2] = ue @ (np.cos(alpha * rate) * col)
-    amp[1::2] = uo @ (np.sin(alpha * rate) * col)
-    amp *= _turn_signs(levels)  # Q* on the real rows: (-1)^floor(m/2)
     out = np.zeros(dim, dtype=complex)
-    out[:levels] = amp[:dim]
+    out[:levels] = _rotated_exponential(alpha, levels)[:dim, 0]
     return out
 
 
-def deformed_annihilation(alpha, dim, root_tol=1e-10):
+def deformed_annihilation(alpha, dim):
     """Lowering operator whose eigenstate is :func:`london_state`,
 
         <n|C|n+1> = alpha J_{n+1}(2 alpha) / ((n+2) J_{n+2}(2 alpha)) * (n+1).
 
     Raises :class:`BesselRootError` when some J_{n+2}(2 alpha) sits on a
-    root: the ratio test compares it against its neighbouring orders, so
-    the benign super-exponential decay of high orders at small argument
-    does not trip the guard.
+    root, within ``_ROOT_TOL`` of its neighbouring orders: the ratio test
+    compares it against them, so the benign super-exponential decay of
+    high orders at small argument does not trip the guard.
     """
     dim = _check_dim(dim)
     alpha = _real_alpha(alpha, "deformed_annihilation")
     jv = specfun.bessel_j_all(dim + 1, 2.0 * alpha) if alpha != 0.0 else np.zeros(dim + 2)
     for n in range(dim - 1):
         neighbour = max(abs(jv[n + 1]), abs(jv[n + 3])) if n + 3 <= dim + 1 else abs(jv[n + 1])
-        if abs(jv[n + 2]) <= root_tol * neighbour:
+        if abs(jv[n + 2]) <= _ROOT_TOL * neighbour:
             raise BesselRootError(
                 f"2*alpha = {2 * alpha} is too close to a root of J_{n + 2}; "
                 f"the deformed lowering operator is singular at level n = {n}",

@@ -196,7 +196,7 @@ def test_ordered_block_matches_matrix_exponentials(params, gen64):
         ref = fock.expm(gen64.kplus, params.plus) @ e0 @ fock.expm(gen64.kminus, params.minus)
     else:
         ref = fock.expm(gen64.kminus, params.minus) @ e0 @ fock.expm(gen64.kplus, params.plus)
-    block = algebra._ordered_block(params, 32, 64, algebra._pascal(64))
+    block = algebra._ordered_blocks((params,), 32, 64, algebra._pascal(64))[0]
     assert np.abs(block - ref.mat[:32, :32]).max() <= 1e-14 * max(1.0, np.abs(block).max())
 
 
@@ -215,10 +215,13 @@ def _criterion_3_draw(index):
 
 def test_verify_bch_default_guard_keeps_the_tail():
     # on this draw a guard placed at the peak of the antinormal-first terms
-    # (33 levels) left 3.4e-3 of the sums out of the residual
+    # (33 levels) left 3.4e-3 of the sums out of the residual; the reference
+    # runs the antinormal-first sums over 120 levels past dim 64
     b = _criterion_3_draw(23)
     default = algebra.verify_bch(b, 64, edge_exclude=16)
-    assert abs(default - algebra.verify_bch(b, 64, edge_exclude=16, guard=120)) <= 1e-12
+    a = algebra.bch_antinormal_to_normal(b)
+    lhs, rhs = algebra._ordered_blocks((a, b), 48, 64 + 120, algebra._pascal(256))
+    assert abs(default - algebra._block_residual(lhs, rhs)) <= 1e-12
 
 
 @pytest.mark.parametrize("field", ["plus", "zero", "minus"])
@@ -243,8 +246,22 @@ def test_verify_bch_normal_first_input():
 
 def test_rotation_conjugation():
     assert algebra.rotation_conjugation_check(0.0, 16) == 0.0
-    assert algebra.rotation_conjugation_check(1.0, 64, edge_exclude=16) <= 1e-9
-    assert algebra.rotation_conjugation_check(3.0, 256, edge_exclude=64) <= 1e-9
+    assert algebra.rotation_conjugation_check(1.0, 64) <= 1e-9
+    assert algebra.rotation_conjugation_check(3.0, 256) <= 1e-9
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 8, 9, 16, 17, 33, 64, 65, 128, 256, 257])
+def test_rotation_conjugation_holds_on_the_whole_space(dim):
+    # Q* (Vdag + V) Q = -i (Vdag - V) entry by entry on the truncation, so
+    # no level is left out and no alpha is too large for the dimension
+    for alpha in (0.1, -0.5, 1.0, 2.0, -3.0, 5.0, 8.0, 12.5, -20.0, 25.0):
+        assert algebra.rotation_conjugation_check(alpha, dim) <= 1e-14
+
+
+def test_rotation_conjugation_residuals_are_the_rounding_of_the_two_sides():
+    # the CLI's (1, 64) and the benchmark's (3, 256) cases, to the bit
+    assert algebra.rotation_conjugation_check(1.0, 64) == 8.881784197001252e-16
+    assert algebra.rotation_conjugation_check(3.0, 256) == 1.5543122344752192e-15
 
 
 def test_rotation_conjugation_with_exact_quarter_turns():
@@ -276,8 +293,8 @@ def test_rotation_conjugation_holds_about_three_real_matrices():
 
 
 def test_rotation_conjugation_range_guard():
-    with pytest.raises(RangeError):
-        algebra.rotation_conjugation_check(3.0, 16)
+    # alpha past dim/8 is in range: the identity is exact on the truncation
+    assert algebra.rotation_conjugation_check(3.0, 16) <= 1e-14
     # the Bessel image sum stops at |2 alpha| = 50
     assert algebra.rotation_conjugation_check(25.0, 256) <= 1e-9
     with pytest.raises(RangeError):
@@ -303,14 +320,9 @@ def test_rotation_sides_match_dense_exponentials(alpha, dim):
         assert np.all(np.abs(side - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
 
 
-@pytest.mark.parametrize("edge_exclude", [64, 70, -1])
-def test_rotation_conjugation_edge_exclusion_range(edge_exclude):
-    with pytest.raises(DimensionError):
-        algebra.rotation_conjugation_check(1.0, 64, edge_exclude=edge_exclude)
-
-
 @pytest.mark.parametrize("alpha,dim,error", [
     (0.1, 1, DimensionError),
+    (0.1, 64.0, DimensionError),
     (float("nan"), 64, RangeError),
     (float("inf"), 64, RangeError),
     (1.0, fock.MAX_DIM + 1, RangeError),
@@ -416,7 +428,7 @@ def _both_routes(b, dim, edge_exclude=None):
     binom = algebra._pascal(max(64, 1 << (levels - 1).bit_length()))
     worst = 0.0
     for side in (a, b):
-        new = algebra._ordered_block(side, keep, levels, binom)
+        new = algebra._ordered_blocks((side,), keep, levels, binom)[0]
         old = _gather_ordered_block(side, keep, levels, binom)
         assert np.all(np.isfinite(new))
         worst = max(worst, np.abs(new - old).max() / max(1.0, np.abs(old).max()))

@@ -221,6 +221,14 @@ def test_verify_suite_exit_status(capsys):
     assert all(line.split(",")[-1] == "pass" for line in lines[1:] if not line.startswith("#"))
 
 
+@pytest.mark.parametrize("dim", range(3, 9))
+def test_verify_algebra_passes_at_small_dimensions(dim, capsys):
+    # the rotation check compares the whole space at any alpha <= 25
+    status, out, _ = run_cli(["verify", "--suite", "algebra", "--dim", str(dim)], capsys)
+    assert status == 0
+    assert all(line.endswith(",pass") for line in out.splitlines()[1:] if not line.startswith("#"))
+
+
 def test_exit_codes_range_and_truncation(capsys):
     status, _, err = run_cli(["state", "--family", "bg", "--alpha", "30", "--dim", "8"], capsys)
     assert status == 3 and "error:" in err
