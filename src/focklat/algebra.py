@@ -337,14 +337,17 @@ def _exponents(mags):
     return np.where(m == 0, _NO_EXPONENT, e)
 
 
-def _slices(hi, lo, count, beta):
-    """Split hi + lo (each |.| < 1) into ``count`` slices on the grids 2^-(s+1)beta."""
-    out = []
-    for s in range(count):
+def _slices(hi, lo, beta, out):
+    """Split hi + lo (each |.| < 1) into len(out) slices on the grids 2^-(s+1)beta.
+
+    Slice s is written into out[s], a stack the caller allocates; returns out.
+    """
+    for s, top in enumerate(out):
         sigma = 1.5 * 2.0 ** (52 - (s + 1) * beta)
-        top = (hi + sigma) - sigma  # hi rounded to the grid, exactly
-        out.append(top)
-        hi, lo = _two_sum(hi - top, lo)
+        np.add(hi, sigma, out=top)
+        top -= sigma  # hi rounded to the grid, exactly
+        if s + 1 < len(out):  # the remainder after the last slice is not needed
+            hi, lo = _two_sum(hi - top, lo)
     return out
 
 
@@ -399,9 +402,15 @@ def _sliced_product(x, y, mid, left, right):
     count = int(max(1, min(8, -(-need // beta))))
     xe = _int32((mid + bal)[None, :] - row[:, None])
     ye = _int32(-bal[:, None] - col[None, :])
-    xs = [s.reshape(2 * p, q) for s in _slices(np.ldexp(xh, xe), np.ldexp(xl, xe), count, beta)]
-    ys = _slices(np.ldexp(yh, ye), np.ldexp(yl, ye), count, beta)
-    xs, ys = np.concatenate(xs, axis=1), np.concatenate(ys[::-1], axis=0)
+    # x's slices side by side and y's stacked in reverse, so level s + t is
+    # one product of a leading block of xs with a trailing block of ys
+    xs = np.empty((2 * p, count, q))
+    _slices(np.ldexp(xh, xe).reshape(2 * p, q), np.ldexp(xl, xe).reshape(2 * p, q), beta,
+            xs.transpose(1, 0, 2))
+    xs = xs.reshape(2 * p, count * q)
+    ys = np.empty((count, q, yh.shape[1]))
+    _slices(np.ldexp(yh, ye), np.ldexp(yl, ye), beta, ys[::-1])
+    ys = ys.reshape(count * q, -1)
     hi = lo = 0.0
     for level in range(count):
         hi, err = _two_sum(hi, xs[:, :(level + 1) * q] @ ys[(count - 1 - level) * q:])
@@ -541,7 +550,8 @@ def verify_bch(params, dim, edge_exclude=None):
     Raises
     ------
     DimensionError
-        For dim < 2 or an edge exclusion outside [0, dim).
+        For a dim that is not an integer >= 2, or an edge exclusion that is
+        not an integer in [0, dim).
     RangeError
         For non-finite parameters, a dimension above 1024 levels, or
         antinormal sums that do not converge within 1024 levels
@@ -549,11 +559,11 @@ def verify_bch(params, dim, edge_exclude=None):
     NumericError
         If an ordering map or a product overflows double precision.
     """
-    dim = int(dim)
-    if dim < 2:
-        raise DimensionError(f"need dimension >= 2, got {dim}")
+    dim = fock._check_dim(dim)
     if dim > _MAX_LEVELS:
         raise RangeError(f"dimension {dim} exceeds {_MAX_LEVELS}")
+    if edge_exclude is not None and not isinstance(edge_exclude, (int, np.integer)):
+        raise DimensionError(f"edge exclusion must be an integer, got {edge_exclude!r}")
     b = math.ceil(dim / 4) if edge_exclude is None else int(edge_exclude)
     if not 0 <= b < dim:
         raise DimensionError(f"edge exclusion {b} outside [0, {dim})")

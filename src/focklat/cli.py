@@ -9,6 +9,12 @@ Python floats (an array's ``.tolist()``); the JSON form splits it back,
 with the ``index`` and ``guide`` cells as integers.  The argparse tree is
 built once per process.
 
+A command computes all its arrays, diagnostics and exit status before its
+output is opened, so a failing command writes nothing.  The rows are then
+streamed one block at a time (one z sample of ``impulse`` and
+``propagate``), and nothing holds the whole text: a command's memory is its
+arrays plus one sample's rows.
+
 Options may also come from a flat ``key = value`` config file passed with
 ``--config``; explicit flags win over file values.  An option's value may
 start with '-' (``--alpha -0.5+1i``) unless it is one of the command's own
@@ -298,34 +304,53 @@ def _amplitude_rows(lead, labels, amplitudes):
 
 
 def _field_rows(zs, fields):
-    """One ``z,guide,re,im,abs2`` row per guide per sample of ``fields``."""
+    """One block of ``z,guide,re,im,abs2`` rows per sample of ``fields``, a row per guide."""
     guides = [str(g) for g in range(fields.shape[1])]
-    rows = []
-    for z, field in zip(np.asarray(zs, dtype=float).tolist(), fields.tolist()):
-        rows += _amplitude_rows(f"{z!r},", guides, field)
-    return rows
+    for z, field in zip(np.asarray(zs, dtype=float).tolist(), fields):
+        yield _amplitude_rows(f"{z!r},", guides, field.tolist())
 
 
-def _emit_csv(header, rows, diagnostics):
-    lines = [",".join(header), *rows]
-    lines.extend(f"# {key} = {value}" for key, value in diagnostics.items())
-    return "\n".join(lines) + "\n"
+def _write_csv(out, header, blocks, diagnostics):
+    out.write(",".join(header) + "\n")
+    for block in blocks:
+        out.write("".join(f"{row}\n" for row in block))
+    out.write("".join(f"# {key} = {value}\n" for key, value in diagnostics.items()))
 
 
 # columns whose JSON cells are integers; every other cell is a string
 _INT_COLUMNS = ("index", "guide")
 
 
-def _emit_json(meta, header, rows, diagnostics):
+def _nested(value, depth):
+    """``json.dumps(value, indent=2)`` as it reads ``depth`` levels into a document."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _write_json(out, meta, header, blocks, diagnostics):
+    """The bytes of ``json.dumps({"meta", "rows", "diagnostics"}, indent=2) + "\n"``,
+    written one block of records at a time."""
     ints = [j for j, name in enumerate(header) if name in _INT_COLUMNS]
-    records = []
-    for row in rows:
-        cells = row.split(",")
-        for j in ints:
-            cells[j] = int(cells[j])
-        records.append(dict(zip(header, cells)))
-    payload = {"meta": meta, "rows": records, "diagnostics": diagnostics}
-    return json.dumps(payload, indent=2) + "\n"
+    out.write(f'{{\n  "meta": {_nested(meta, 1)},\n  "rows": [')
+    sep = ""  # "," once a record is written
+    for block in blocks:
+        records = []
+        for row in block:
+            cells = row.split(",")
+            for j in ints:
+                cells[j] = int(cells[j])
+            records.append(dict(zip(header, cells)))
+        if records:  # the block's list less its "[" and "\n  ]"
+            out.write(sep + _nested(records, 1)[1:-4])
+            sep = ","
+    close = "\n  ]" if sep else "]"
+    out.write(f'{close},\n  "diagnostics": {_nested(diagnostics, 1)}\n}}\n')
+
+
+def _write(out, config, header, blocks, diagnostics):
+    if config.output_format == "csv":
+        _write_csv(out, header, blocks, diagnostics)
+    else:
+        _write_json(out, _meta(config), header, blocks, diagnostics)
 
 
 def _meta(config):
@@ -348,7 +373,7 @@ def _run_state(params):
     header = ["index", "re", "im", "abs2"]
     rows = _amplitude_rows("", [str(j) for j in range(len(vec))], vec.tolist())
     diagnostics = {"norm2": _f(fock.norm_sq(vec))}
-    return header, rows, diagnostics, 0
+    return header, [rows], diagnostics, 0
 
 
 def _run_impulse(params):
@@ -360,9 +385,8 @@ def _run_impulse(params):
     header = ["z", "guide", "re", "im", "abs2"]
     zs = [params["zmax"] * s / samples for s in range(1, samples + 1)]
     profiles = lattice.impulse_profiles(spec, zs)
-    rows = _field_rows(zs, profiles)
     diagnostics = {"normalization_last_z": _f(np.sum(np.abs(profiles[-1]) ** 2))}
-    return header, rows, diagnostics, 0
+    return header, _field_rows(zs, profiles), diagnostics, 0
 
 
 def _run_propagate(params):
@@ -378,14 +402,13 @@ def _run_propagate(params):
         samples=params["samples"],
     )
     header = ["z", "guide", "re", "im", "abs2"]
-    rows = _field_rows(result.z_grid, result.fields)
     diagnostics = {
         "norm_drift": _f(result.norm_drift),
         "edge_leakage": _f(result.edge_leakage),
     }
     if guide_in == 0:
         diagnostics["oracle_max_error"] = _f(lattice.compare_to_oracle(result, spec))
-    return header, rows, diagnostics, 0
+    return header, _field_rows(result.z_grid, result.fields), diagnostics, 0
 
 
 def _check_rows(results):
@@ -412,23 +435,21 @@ def _run_bch_check(params):
         checks.CheckResult("bch-round-trip", round_trip, 1e-13),
     ]
     header = ["check", "residual", "tolerance", "status"]
-    rows = _check_rows(results)
     diagnostics = {
         "converted_plus": format_complex(converted.plus),
         "converted_zero": format_complex(converted.zero),
         "converted_minus": format_complex(converted.minus),
     }
     status = 0 if all(r.passed for r in results) else 1
-    return header, rows, diagnostics, status
+    return header, [_check_rows(results)], diagnostics, status
 
 
 def _run_verify(params):
     results = checks.run_suite(params["suite"], dim=params["dim"], seed=params["seed"])
     header = ["check", "residual", "tolerance", "status"]
-    rows = _check_rows(results)
     failed = [r.name for r in results if not r.passed]
     diagnostics = {"checks_run": len(results), "checks_failed": len(failed)}
-    return header, rows, diagnostics, 0 if not failed else 1
+    return header, [_check_rows(results)], diagnostics, 0 if not failed else 1
 
 
 _RUNNERS = {
@@ -441,19 +462,20 @@ _RUNNERS = {
 
 
 def run(config):
-    """Execute a parsed configuration; returns the process exit status."""
-    header, rows, diagnostics, status = _RUNNERS[config.command](config.params)
-    if config.output_format == "csv":
-        text = _emit_csv(header, rows, diagnostics)
-    else:
-        text = _emit_json(_meta(config), header, rows, diagnostics)
+    """Execute a parsed configuration; returns the process exit status.
+
+    The runner computes every array, diagnostic and the status first; the
+    output is opened only then, so a failing command writes nothing.
+    """
+    header, blocks, diagnostics, status = _RUNNERS[config.command](config.params)
     if config.output_path:
         try:
-            Path(config.output_path).write_text(text)
+            with open(config.output_path, "w") as out:
+                _write(out, config, header, blocks, diagnostics)
         except OSError as exc:
             raise UsageError(f"cannot write output file {config.output_path}: {exc}")
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, config, header, blocks, diagnostics)
     return status
 
 

@@ -224,6 +224,63 @@ def test_verify_bch_default_guard_keeps_the_tail():
     assert abs(default - algebra._block_residual(lhs, rhs)) <= 1e-12
 
 
+# The 50 criterion-3 residuals at (64, edge_exclude=16), pinned to the bit
+# before the slice stacks were written in place; the worst is draw 47.
+_CRITERION_3_RESIDUALS = [
+    8.794269726232876e-15, 2.0347547966936147e-15, 1.627730989829618e-15,
+    2.7825493040152787e-15, 4.074520287055819e-15, 1.1481572620488684e-15,
+    3.2169851443137864e-15, 3.6829947327668936e-15, 1.1229702263938047e-14,
+    1.0745094958441785e-15, 8.787129671177841e-15, 8.142072324713418e-15,
+    4.351471459234041e-15, 9.667756825162659e-15, 6.559362104064433e-16,
+    3.628515911825174e-15, 3.991337393392313e-15, 1.1907776806504877e-14,
+    9.032137447317056e-15, 2.3707818428221356e-15, 4.807907461412688e-16,
+    1.1257969157173193e-14, 8.664621797654914e-15, 9.421715660351283e-15,
+    2.3109502569581817e-15, 7.904368073476938e-15, 1.1167612840161763e-14,
+    3.3841637933679078e-15, 4.233768508209207e-15, 3.569149402346152e-15,
+    1.1109985288862731e-14, 7.32404793454792e-15, 9.899507142391966e-15,
+    6.397122001643723e-15, 4.965441606684176e-15, 8.596415242214501e-15,
+    8.705712458135914e-15, 7.74541519653567e-15, 9.788858959030467e-15,
+    3.861522645113566e-15, 8.297131845379631e-15, 7.996680560715071e-15,
+    4.817848815450242e-15, 2.753711991163698e-15, 7.897457798775677e-15,
+    1.784146017590271e-15, 3.1174425394497837e-15, 1.621220909647133e-14,
+    6.177223533085621e-15, 1.3944414724548187e-15,
+]
+
+
+def test_verify_bch_criterion_3_residuals_are_pinned():
+    residuals = [algebra.verify_bch(_criterion_3_draw(i), 64, edge_exclude=16)
+                 for i in range(50)]
+    assert residuals == _CRITERION_3_RESIDUALS
+
+
+def test_verify_bch_builds_its_slice_stacks_in_place():
+    # draw 41 sets the peak of the 50; with the slices gathered in lists and
+    # then concatenated it reached 2.22 MB
+    b = _criterion_3_draw(41)
+    algebra.verify_bch(b, 64, edge_exclude=16)  # the Pascal table is cached outside the count
+    tracemalloc.start()
+    try:
+        algebra.verify_bch(b, 64, edge_exclude=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.95e6
+
+
+@pytest.mark.parametrize("dim,edge_exclude,error", [
+    (64.7, None, DimensionError),  # was cut to 64 by int()
+    (64.0, None, DimensionError),
+    (64, 16.5, DimensionError),  # was cut to 16 by int()
+    (1, None, DimensionError),
+    (64, 64, DimensionError),
+    (1025, None, RangeError),
+])
+def test_verify_bch_rejects_bad_sizes(dim, edge_exclude, error):
+    b = BCHParams(0.1, 1.0, 0.1, Ordering.ANTINORMAL_FIRST)
+    with pytest.raises(error):
+        algebra.verify_bch(b, dim, edge_exclude=edge_exclude)
+
+
 @pytest.mark.parametrize("field", ["plus", "zero", "minus"])
 def test_verify_bch_rejects_nan(field):
     values = {"plus": 0.1, "zero": 1.0, "minus": 0.1, field: float("nan")}
@@ -383,10 +440,12 @@ def _gather_sliced_product(x, y):
     need = row.max() + col.max() + inner.bit_length() + 4 + 60
     count = int(max(1, min(8, -(-need // beta))))
 
+    def stack(hi, lo, e):
+        hi = np.ldexp(hi, e)
+        return algebra._slices(hi, np.ldexp(lo, e), beta, np.empty((count, *hi.shape)))
+
     def sliced(re, im, e):
-        return [r + 1j * i for r, i in zip(
-            algebra._slices(np.ldexp(re[0], e), np.ldexp(re[1], e), count, beta),
-            algebra._slices(np.ldexp(im[0], e), np.ldexp(im[1], e), count, beta))]
+        return [r + 1j * i for r, i in zip(stack(*re, e), stack(*im, e))]
 
     xs = sliced((xrh, xrl), (xih, xil), ex)
     ys = sliced((yrh, yrl), (yih, yil), ey)
