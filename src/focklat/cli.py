@@ -5,9 +5,9 @@ Subcommands: ``state``, ``impulse``, ``propagate``, ``bch-check`` and
 {"meta": ..., "rows": ..., "diagnostics": ...}; floating-point values use
 the shortest round-trip decimal form so identical configurations emit
 byte-identical output.  Each row is formed once, as its CSV line, from
-Python floats (an array's ``.tolist()``); the JSON form splits it back,
-with the ``index`` and ``guide`` cells as integers.  The argparse tree is
-built once per process.
+Python floats (an array's ``.tolist()``); a JSON record fills a template
+built once from the header with that line's cells, the ``index`` and
+``guide`` cells as integers.  The argparse tree is built once per process.
 
 A command computes all its arrays, diagnostics and exit status before its
 output is opened, so a failing command writes nothing.  The rows are then
@@ -275,6 +275,8 @@ def _validate(command, params):
             raise UsageError(f"lattice must be one of {sorted(_LATTICE_KINDS)}")
         if params["sign"] not in (1, -1):
             raise UsageError("sign must be 1 or -1")
+        if params["samples"] < 1:
+            raise UsageError("samples must be positive")
     elif command == "bch-check":
         if params["ordering"] not in ("antinormal", "normal"):
             raise UsageError("ordering must be 'antinormal' or 'normal'")
@@ -321,29 +323,28 @@ def _write_csv(out, header, blocks, diagnostics):
 _INT_COLUMNS = ("index", "guide")
 
 
-def _nested(value, depth):
-    """``json.dumps(value, indent=2)`` as it reads ``depth`` levels into a document."""
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
-
-
 def _write_json(out, meta, header, blocks, diagnostics):
     """The bytes of ``json.dumps({"meta", "rows", "diagnostics"}, indent=2) + "\n"``,
-    written one block of records at a time."""
-    ints = [j for j, name in enumerate(header) if name in _INT_COLUMNS]
-    out.write(f'{{\n  "meta": {_nested(meta, 1)},\n  "rows": [')
+    written one block of records at a time.
+
+    The text around the rows is that of an empty ``rows`` list, split at
+    ``"rows": []``, which is the top-level key: no key of ``meta`` or
+    ``diagnostics`` is ``rows``, and a string value escapes its quotes.
+    Each record fills one ``%`` template, built from the header, with its
+    CSV row's cells verbatim; no cell needs JSON escaping, as each is a
+    float ``repr``, an integer, a fixed check name or ``pass``/``fail``.
+    """
+    head, _, tail = json.dumps({"meta": meta, "rows": [], "diagnostics": diagnostics},
+                               indent=2).partition('"rows": []')
+    cells = [f'\n      "{name}": ' + ("%s" if name in _INT_COLUMNS else '"%s"') for name in header]
+    record = "\n    {" + ",".join(cells) + "\n    }"
+    out.write(head + '"rows": [')
     sep = ""  # "," once a record is written
     for block in blocks:
-        records = []
-        for row in block:
-            cells = row.split(",")
-            for j in ints:
-                cells[j] = int(cells[j])
-            records.append(dict(zip(header, cells)))
-        if records:  # the block's list less its "[" and "\n  ]"
-            out.write(sep + _nested(records, 1)[1:-4])
+        if block:
+            out.write(sep + ",".join([record % tuple(row.split(",")) for row in block]))
             sep = ","
-    close = "\n  ]" if sep else "]"
-    out.write(f'{close},\n  "diagnostics": {_nested(diagnostics, 1)}\n}}\n')
+    out.write(("\n  ]" if sep else "]") + tail + "\n")
 
 
 def _write(out, config, header, blocks, diagnostics):
@@ -380,8 +381,6 @@ def _run_impulse(params):
     spec = lattice.LatticeSpec(kind=_LATTICE_KINDS[params["lattice"]], dim=params["dim"],
                                sign=params["sign"])
     samples = params["samples"]
-    if samples < 1:
-        raise UsageError("samples must be positive")
     header = ["z", "guide", "re", "im", "abs2"]
     zs = [params["zmax"] * s / samples for s in range(1, samples + 1)]
     profiles = lattice.impulse_profiles(spec, zs)

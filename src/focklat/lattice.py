@@ -252,8 +252,9 @@ def impulse_profile(spec, z):
 def compare_to_oracle(result, spec):
     """Largest |numeric - closed form| over sampled z and retained guides.
 
-    The result must come from unit input at guide 0; guides inside the
-    Hamiltonian's edge band are excluded from the comparison.  The closed
+    The comparison takes unit input at guide 0 only, although closed forms
+    exist for every input guide; guides inside the Hamiltonian's edge band
+    are excluded from it.  The closed
     form i^m r_m is real on the even guides and imaginary on the odd ones,
     so each parity is compared against its signed real rows,
     (-1)^floor(m/2) r_m (:func:`algebra._turn_signs`): the modulus of the
@@ -268,7 +269,7 @@ def compare_to_oracle(result, spec):
     expected = np.zeros(spec.dim, dtype=complex)
     expected[0] = 1.0
     if first.shape != (spec.dim,) or np.abs(first - expected).max() > 1e-12:
-        raise UnsupportedOracleError("closed forms exist only for unit input at guide 0")
+        raise UnsupportedOracleError("the comparison takes unit input at guide 0 only")
     keep = spec.dim - _couplings(spec)[1]
     rows = _closed_form_rows(spec, result.z_grid)
     rows *= _turn_signs(spec.dim)

@@ -7,12 +7,8 @@ normalised with the even-order sum identity
 
     J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1,
 
-I_m uses the ascending power series for small arguments and the downward
-recurrence normalised with
-
-    I_0(x) + 2 * sum_{k>=1} I_k(x) = exp(x)
-
-above that.
+I_m uses the ascending power series over the whole range: its terms are
+all positive, so nothing cancels.
 """
 
 import math
@@ -24,7 +20,6 @@ from .errors import RangeError
 MAX_ORDER = 200
 MAX_ARGUMENT = 50.0
 
-_SERIES_CUTOFF = 15.0  # I_m switches from series to recurrence here
 _RESCALE = 1e250
 # Below this |x|, J_m(x) is its leading term (x/2)^m / m! to rounding (the
 # next term is (x/2)^2 / (m+1) < 2^-62 times it); the downward recurrence
@@ -85,19 +80,6 @@ def _leading_term_j(m_max, xs):
     out = np.ones((len(xs), m_max + 1))
     out[:, 1:] = np.cumprod((0.5 * xs)[:, None] / np.arange(1, m_max + 1), axis=1)
     return out
-
-
-def _miller_i(m_max, x):
-    """All of I_0(x)..I_{m_max}(x) by downward recurrence; requires x > 0."""
-    start = _start_order(m_max, x)
-    f = np.zeros(start + 2)
-    f[start] = 1e-300
-    for k in range(start, 0, -1):
-        f[k - 1] = (2.0 * k / x) * f[k] + f[k + 1]
-        if abs(f[k - 1]) > _RESCALE:
-            f *= 1.0 / _RESCALE
-    s = f[0] + 2.0 * f[1:].sum()
-    return f[: m_max + 1] * (math.exp(x) / s)
 
 
 def _i_series(m, x):
@@ -196,9 +178,5 @@ def bessel_i(m, x):
     x = float(x)
     if not 0.0 <= x <= MAX_ARGUMENT:
         raise RangeError(f"argument {x} outside supported range [0, {MAX_ARGUMENT}]")
-    if x == 0.0:
-        return 1.0 if m == 0 else 0.0
-    if x <= _SERIES_CUTOFF:
-        return _i_series(m, x)
-    return float(_miller_i(m, x)[m])
+    return _i_series(m, x)
 

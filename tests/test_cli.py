@@ -383,6 +383,9 @@ def test_output_memory_is_the_arrays_plus_one_sample(fmt, tmp_path):
     ({"params": {}}, ["guide", "re"], [[], []], {"checks": []}),
     ({"command": "x", "params": {"a": None, "b": 1.5}}, ["z", "guide", "re"],
      [["0.5,0,1.0"], [], ["1.0,0,2.0", "1.0,1,-0.0"]], {"norm": "1.0", "n": 3}),
+    ({"command": "verify"}, ["check", "residual", "tolerance", "status"],
+     [["rotation-conjugation,8.9e-16,1e-09,pass", "bch-identity,0.25,1e-09,fail"]],
+     {"checks_run": 2, "checks_failed": 1}),
 ])
 def test_streamed_json_is_the_whole_document(meta, header, blocks, diagnostics):
     records = []
@@ -394,6 +397,26 @@ def test_streamed_json_is_the_whole_document(meta, header, blocks, diagnostics):
     out = io.StringIO()
     cli._write_json(out, meta, header, iter(blocks), diagnostics)
     assert out.getvalue() == json.dumps(whole, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "all", "--dim", "64", "--format", "json"],
+    ["bch-check", "--xplus", "0.1+0.05i", "--xzero", "1", "--xminus", "0.1", "--dim", "64",
+     "--format", "json"],
+])
+def test_check_rows_need_no_json_escaping(argv, capsys):
+    # every real check name goes into the record template verbatim
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("command", ["impulse", "propagate"])
+def test_nonpositive_samples_is_a_usage_error(command, samples, capsys):
+    status, out, err = run_cli([command, "--lattice", "uniform", "--zmax", "1", "--dim", "8",
+                                "--samples", samples], capsys)
+    assert status == 2 and out == "" and "error:" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1"])
