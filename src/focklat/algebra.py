@@ -188,15 +188,23 @@ def _check_finite(params):
                          f"({params.plus}, {params.zero}, {params.minus})")
 
 
+def _abs_max(a):
+    """max |a|; for a real array, without a temporary of its size."""
+    if np.iscomplexobj(a):
+        return np.abs(a).max()
+    return abs(max(a.max(), -a.min()))  # abs() turns a -0.0 into 0.0, as np.abs does
+
+
 def _block_residual(lhs, rhs):
     """max |lhs - rhs| over max(1, the largest entry of either); overwrites lhs.
 
     The difference is taken in lhs's own buffer, after the scale is read,
-    so the check holds no third array of the blocks' size.
+    and real blocks take their largest modulus from their extremes, so the
+    check holds no third array of the blocks' size.
     """
-    scale = max(np.abs(lhs).max(), np.abs(rhs).max())
+    scale = max(_abs_max(lhs), _abs_max(rhs))
     lhs -= rhs
-    return float(np.abs(lhs).max() / max(1.0, scale))
+    return float(_abs_max(lhs) / max(1.0, scale))
 
 
 # Double-double arithmetic on float arrays.  A real value is a pair
@@ -625,20 +633,25 @@ def _shift_exponential_images(alpha, dim):
     fold = wrap ** np.arange(-reach, reach) @ signed.reshape(2 * reach, p)  # K[v], 0 <= v < P
     k = np.concatenate([wrap * fold[p - dim + 1:], fold[:2 * dim + 1]])  # v = 1 - N .. 2N
     windows = np.lib.stride_tricks.sliding_window_view(k, dim)  # windows[i, j] = k[i + j]
-    return windows[:dim, ::-1] + windows[dim + 1:] * (-1.0) ** np.arange(dim)
+    out = windows[dim + 1:] * (-1.0) ** np.arange(dim)  # the Hankel term, then the Toeplitz
+    out += windows[:dim, ::-1]
+    return out
 
 
 def _half_spectrum(g):
     """Eigenpairs lam >= 0 of the zero-diagonal tridiagonal H with couplings g.
 
-    The package's one eigensolver, ``scipy.linalg.eigh_tridiagonal`` (LAPACK
-    MRRR).  With S = diag((-1)^m), S H S = -H, so eigenpairs come as (lam, u)
+    The package's one eigensolver, ``scipy.linalg.eigh_tridiagonal`` with
+    scipy's default driver for the whole spectrum (LAPACK ``stevd``, divide
+    and conquer, since scipy 1.9).  Its workspace is N^2 doubles on top of
+    the N x N eigenvectors, which sets the peak memory here at large N.
+    With S = diag((-1)^m), S H S = -H, so eigenpairs come as (lam, u)
     and (-lam, S u), and exp(i theta H) has the even-even block
     ue diag(weight cos(theta rate)) ue^T and the even-odd one
     i ue diag(weight sin(theta rate)) uo^T.  Returns (ue, uo, rate, weight):
     2 u on the even and odd levels, lam, and 1/2; an odd N adds a zero mode,
     first, with weight 1.  u is the mean of the computed eigenvector at lam
-    and S times the one at -lam: MRRR relates them only to about 1e-14
+    and S times the one at -lam: the solver relates them only to about 1e-14
     (SU(1,1), 200 guides), while the mean stays within 1e-15 of the closed forms.
     """
     import scipy.linalg

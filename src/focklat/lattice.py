@@ -47,6 +47,10 @@ from .fock import MAX_DIM, TruncatedOperator
 
 LEAKAGE_LIMIT = 1e-8
 
+# propagate computes its products, norms and edge leakage this many samples
+# at a time, so its working memory is the fields plus a fixed block
+_BLOCK = 64
+
 
 class LatticeKind(Enum):
     SU11 = "su11"
@@ -132,8 +136,10 @@ def propagate(spec, input_field, zmax, samples=200):
         E(z)[even] = Ue (cos(theta) a + i sin(theta) b),
         E(z)[odd]  = Uo (i sin(theta) a + cos(theta) b),
 
-    four real products of half the size.  For a real input at one guide, a
-    or b is 0, so a component that is exactly zero in the closed forms
+    four real products of half the size, taken ``_BLOCK`` samples at a time
+    so that the working memory is the fields plus one block.  For a real
+    input at one guide, a or b is 0: its terms are left out, which halves
+    the products, and a component that is exactly zero in the closed forms
     (E_m is i^m times a real number) stays 0 instead of carrying about
     1e-17 of round-off.
 
@@ -145,7 +151,8 @@ def propagate(spec, input_field, zmax, samples=200):
     zmax : float
         Propagation length, finite and non-negative.
     samples : int
-        Fields are recorded at ``samples`` evenly spaced points past 0.
+        Fields are recorded at ``samples`` evenly spaced points past 0; an
+        integer of at least 1 (not a bool).
 
     Returns
     -------
@@ -157,6 +164,9 @@ def propagate(spec, input_field, zmax, samples=200):
     TruncationOverflowError
         If the squared amplitude at the last guide exceeds ``LEAKAGE_LIMIT``
         at any sample; rerun with a larger array.
+    RangeError
+        For a zero input, a negative or non-finite ``zmax``, or a ``samples``
+        that is not a positive integer.
     """
     v = np.asarray(input_field, dtype=complex).copy()
     if v.shape != (spec.dim,):
@@ -168,8 +178,9 @@ def propagate(spec, input_field, zmax, samples=200):
         raise RangeError("input field must be nonzero")
     if not (math.isfinite(zmax) and zmax >= 0):
         raise RangeError(f"zmax must be finite and non-negative, got {zmax}")
-    if samples < 1:
-        raise RangeError("samples must be positive")
+    if (not isinstance(samples, (int, np.integer)) or isinstance(samples, bool)
+            or samples < 1):
+        raise RangeError(f"samples must be a positive integer, got {samples!r}")
 
     if zmax == 0.0:
         return PropagationResult(
@@ -183,35 +194,60 @@ def propagate(spec, input_field, zmax, samples=200):
     if not math.isfinite(zmax * float(rate.max())):
         raise NumericError(f"zmax = {zmax} times the largest eigenvalue overflows")
     z_grid = np.linspace(0.0, zmax, samples + 1)
-    theta = spec.sign * np.outer(z_grid[1:], rate)
-    cos = np.cos(theta)
-    sin = np.sin(theta, out=theta)
     even, odd = v[0::2], v[1::2]
     a_re, a_im = weight * (even.real @ ue), weight * (even.imag @ ue)
     b_re, b_im = weight * (odd.real @ uo), weight * (odd.imag @ uo)
     fields = np.empty((samples + 1, spec.dim), dtype=complex)
     fields[0] = v
-    fields[1:, 0::2].real = (cos * a_re - sin * b_im) @ ue.T
-    fields[1:, 0::2].imag = (cos * a_im + sin * b_re) @ ue.T
-    fields[1:, 1::2].real = (cos * b_re - sin * a_im) @ uo.T
-    fields[1:, 1::2].imag = (sin * a_re + cos * b_im) @ uo.T
-    # adding +0.0 turns signed zeros into 0.0, as the closed forms print them
-    fields[1:] += 0.0
-
-    if not np.all(np.isfinite(fields.view(float))):
-        raise NumericError("propagation produced non-finite amplitudes")
-    norms = np.sum(np.abs(fields) ** 2, axis=1)
-    edge = np.maximum.accumulate(np.abs(fields[:, -1]) ** 2)
-    over = np.flatnonzero(edge[1:] > LEAKAGE_LIMIT)
-    if over.size:
-        s = over[0] + 1
-        raise TruncationOverflowError(
-            f"edge leakage {edge[s]:.3e} exceeds {LEAKAGE_LIMIT:.1e} at z = {z_grid[s]:.6g}; "
-            f"increase the number of guides (dim = {spec.dim})"
-        )
+    # each product is (cos x + sin y) U^T; a - b is a + (-b) exactly
+    products = [(fields[:, 0::2].real, ue, a_re, -b_im), (fields[:, 0::2].imag, ue, a_im, b_re),
+                (fields[:, 1::2].real, uo, b_re, -a_im), (fields[:, 1::2].imag, uo, b_im, a_re)]
+    norms = np.empty(samples + 1)
+    norms[0] = np.sum(np.abs(v) ** 2)
+    edge = np.empty(samples + 1)  # running max of |E_{N-1}|^2
+    edge[0] = np.abs(v[-1]) ** 2
+    for lo in range(1, samples + 1, _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        theta = spec.sign * np.outer(z_grid[rows], rate)
+        cos = np.cos(theta)
+        sin = np.sin(theta, out=theta)
+        for out, u, x, y in products:
+            mixed = _mix(cos, x, sin, y)
+            out[rows] = 0.0 if mixed is None else mixed @ u.T
+        block = fields[rows]
+        block += 0.0  # turns signed zeros into 0.0, as the closed forms print them
+        if not np.all(np.isfinite(block.view(float))):
+            raise NumericError("propagation produced non-finite amplitudes")
+        norms[rows] = np.sum(np.abs(block) ** 2, axis=1)
+        edge[rows] = np.abs(block[:, -1]) ** 2
+        running = edge[lo - 1:lo + _BLOCK]
+        np.maximum.accumulate(running, out=running)
+        over = np.flatnonzero(edge[rows] > LEAKAGE_LIMIT)
+        if over.size:
+            s = lo + over[0]
+            raise TruncationOverflowError(
+                f"edge leakage {edge[s]:.3e} exceeds {LEAKAGE_LIMIT:.1e} at z = {z_grid[s]:.6g}; "
+                f"increase the number of guides (dim = {spec.dim})"
+            )
     return PropagationResult(z_grid=z_grid, fields=fields,
                              norm_drift=float(np.abs(norms - norm0).max()),
                              edge_leakage=float(edge[-1]))
+
+
+def _mix(cos, x, sin, y):
+    """cos x + sin y for coefficient vectors x and y, in that order.
+
+    A vector with no nonzero entry drops its term, which changes no value:
+    t + 0 * s is t, up to the sign of a zero that the caller's +0.0 clears.
+    None if both vectors are zero.
+    """
+    x, y = (c if c.any() else None for c in (x, y))
+    if x is None:
+        return None if y is None else sin * y
+    out = cos * x
+    if y is not None:
+        out += sin * y
+    return out
 
 
 def _closed_form_rows(spec, zs):

@@ -70,8 +70,10 @@ def _miller_j(tops, xs):
     # each row's own sum, so numpy's pairwise order matches the scalar one
     s = np.array([row[0] + 2.0 * row[2:start + 1:2].sum() for row, start in zip(f, starts)])
     top = int(tops.max())
+    rows = f[:, : top + 1]
+    rows /= s[:, None]
     out = np.empty((len(xs), top + 1))
-    out[order] = f[:, : top + 1] / s[:, None]
+    out[order] = rows
     return out
 
 

@@ -183,14 +183,15 @@ def _london_rows(xs, dim, name):
     over = ~(np.abs(xs) <= top)
     if over.any():
         raise RangeError(f"|{name}| = {abs(xs[over][0])} exceeds {top} for the Bessel closed form")
-    out = np.zeros((len(xs), dim))
-    out[xs == 0.0, 0] = 1.0
-    tiny = (xs != 0.0) & (np.abs(xs) < specfun._LEADING_TERM_CUTOFF)
-    out[tiny] = specfun._leading_term_j(dim - 1, 2.0 * xs[tiny])
     live = np.abs(xs) >= specfun._LEADING_TERM_CUTOFF
-    if live.any():
-        jv = specfun.bessel_j_rows(dim, 2.0 * xs[live])
-        out[live] = np.arange(1, dim + 1) * jv[:, 1:] / xs[live, None]
+    # the Bessel rows are scaled in their own buffer; the other rows are
+    # taken at x = 0 there, where they are 0, and written below
+    out = specfun.bessel_j_rows(dim, np.where(live, 2.0 * xs, 0.0))[:, 1:]
+    out *= np.arange(1, dim + 1)
+    out /= np.where(live, xs, 1.0)[:, None]
+    out[xs == 0.0, 0] = 1.0
+    tiny = (xs != 0.0) & ~live
+    out[tiny] = specfun._leading_term_j(dim - 1, 2.0 * xs[tiny])
     return out
 
 

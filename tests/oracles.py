@@ -1,4 +1,5 @@
-"""Extended-precision series oracles, independent of the library code.
+"""Extended-precision series oracles, independent of the library code,
+and the tests' one memory probe.
 
 Both Bessel kinds are summed directly from their ascending power series
 with mpmath at a working precision padded well past the worst alternating
@@ -6,7 +7,22 @@ cancellation in the checked range, so these values are trustworthy to far
 better than the tolerances they back.
 """
 
+import tracemalloc
+
 from mpmath import mp
+
+
+def peak_bytes(call):
+    """Peak of the memory traced by ``tracemalloc`` while ``call()`` runs, in bytes.
+
+    Warm the call up first, so that imports and caches stay outside the count.
+    """
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def series_j(m, x, dps=60):

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,8 @@ from focklat.errors import (
     RangeError,
     SingularParameterError,
 )
+
+from oracles import peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -258,13 +259,7 @@ def test_verify_bch_builds_its_slice_stacks_in_place():
     # then concatenated it reached 2.22 MB
     b = _criterion_3_draw(41)
     algebra.verify_bch(b, 64, edge_exclude=16)  # the Pascal table is cached outside the count
-    tracemalloc.start()
-    try:
-        algebra.verify_bch(b, 64, edge_exclude=16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.95e6
+    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 1.95e6
 
 
 @pytest.mark.parametrize("dim,edge_exclude,error", [
@@ -337,16 +332,12 @@ def test_turn_signs_are_the_quarter_turns():
     assert np.array_equal(np.where(m % 2, 1j, 1.0) * signs, turns)
 
 
-def test_rotation_conjugation_holds_about_three_real_matrices():
+def test_rotation_conjugation_holds_no_third_real_matrix():
+    # the two sides and no third array of their size; with the image sum's
+    # Hankel term in a temporary and np.abs of the difference it held three
     dim = 512
     algebra.rotation_conjugation_check(3.0, dim)  # imports and caches outside the count
-    tracemalloc.start()
-    try:
-        algebra.rotation_conjugation_check(3.0, dim)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 8 * dim**2
+    assert peak_bytes(lambda: algebra.rotation_conjugation_check(3.0, dim)) <= 2.5 * 8 * dim**2
 
 
 def test_rotation_conjugation_range_guard():

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,6 +12,8 @@ import pytest
 
 from focklat import cli
 from focklat.errors import UsageError
+
+from oracles import peak_bytes
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -353,15 +354,6 @@ def test_failing_command_leaves_no_output_file(tmp_path, capsys):
     assert not target.exists()
 
 
-def _peak_bytes(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_output_memory_is_the_arrays_plus_one_sample(fmt, tmp_path):
     # 102400 rows; holding them as text took 26.1 MB as csv and 171.8 MB as json
@@ -375,7 +367,7 @@ def test_output_memory_is_the_arrays_plus_one_sample(fmt, tmp_path):
 
     library()  # imports and caches outside the count, the parser's too
     cli.parse_args(argv)
-    assert _peak_bytes(lambda: cli.main(argv)) <= _peak_bytes(library) + 0.5e6
+    assert peak_bytes(lambda: cli.main(argv)) <= peak_bytes(library) + 0.5e6
 
 
 @pytest.mark.parametrize("meta,header,blocks,diagnostics", [

@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from focklat import fock, lattice, specfun, states
+from focklat.algebra import _half_spectrum
 from focklat.errors import (
     DimensionError,
     RangeError,
@@ -14,7 +14,7 @@ from focklat.errors import (
 )
 from focklat.lattice import LatticeKind, LatticeSpec
 
-from oracles import series_j
+from oracles import peak_bytes, series_j
 
 
 def test_uniform_hamiltonian_matrix():
@@ -57,6 +57,11 @@ def test_propagation_input_validation():
     for zmax in (-1.0, math.nan, math.inf):
         with pytest.raises(RangeError):
             lattice.propagate(spec, fock.vacuum(8), zmax=zmax)
+    # np.linspace raised a raw TypeError for the first three, and True ran as 1
+    for samples in (2.5, np.float64(4.0), "3", True, False, None, 0, -2):
+        with pytest.raises(RangeError):
+            lattice.propagate(spec, fock.vacuum(8), zmax=0.5, samples=samples)
+    assert lattice.propagate(spec, fock.vacuum(8), 0.5, samples=np.int64(3)).fields.shape == (4, 8)
 
 
 def test_edge_leakage_guard():
@@ -64,6 +69,77 @@ def test_edge_leakage_guard():
     spec = LatticeSpec(LatticeKind.UNIFORM, 8)
     with pytest.raises(TruncationOverflowError):
         lattice.propagate(spec, fock.vacuum(8), zmax=3.0, samples=30)
+
+
+def _one_block(spec, field0, zmax, samples):
+    """propagate's fields, norm drift and running edge leakage, with every
+    sample in one product of each kind, as before propagate took blocks.
+    """
+    ue, uo, rate, weight = _half_spectrum(lattice._couplings(spec)[0])
+    theta = spec.sign * np.outer(np.linspace(0.0, zmax, samples + 1)[1:], rate)
+    cos, sin = np.cos(theta), np.sin(theta)
+    even, odd = field0[0::2], field0[1::2]
+    a_re, a_im = weight * (even.real @ ue), weight * (even.imag @ ue)
+    b_re, b_im = weight * (odd.real @ uo), weight * (odd.imag @ uo)
+    fields = np.empty((samples + 1, spec.dim), dtype=complex)
+    fields[0] = field0
+    fields[1:, 0::2].real = (cos * a_re - sin * b_im) @ ue.T
+    fields[1:, 0::2].imag = (cos * a_im + sin * b_re) @ ue.T
+    fields[1:, 1::2].real = (cos * b_re - sin * a_im) @ uo.T
+    fields[1:, 1::2].imag = (sin * a_re + cos * b_im) @ uo.T
+    fields[1:] += 0.0
+    norms = np.sum(np.abs(fields) ** 2, axis=1)
+    drift = float(np.abs(norms - np.vdot(field0, field0).real).max())
+    return fields, drift, np.maximum.accumulate(np.abs(fields[:, -1]) ** 2)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("kind,dim,zmax", [
+    (LatticeKind.UNIFORM, 64, 1.5), (LatticeKind.UNIFORM, 65, 1.5),
+    (LatticeKind.SU11, 400, 1.0), (LatticeKind.SU11, 401, 1.0),
+])
+def test_blocked_fields_are_the_one_block_fields(kind, dim, zmax, sign):
+    # Bitwise where N/2 is a multiple of 8 and no block is a single sample.
+    # Elsewhere BLAS may sum a block of another length in another order (a
+    # one-sample block is a matrix-vector product): 1.1e-15 was the largest
+    # move seen, at N = 401.
+    spec = LatticeSpec(kind, dim, sign)
+    three = np.zeros(dim, dtype=complex)
+    three[:3] = [0.6 - 0.2j, -0.3 + 0.5j, 0.25j]
+    for samples in (1, 63, 64, 65, 128, 129):
+        bitwise = dim % 16 == 0 and (samples == 1 or samples % lattice._BLOCK != 1)
+        for field0 in (fock.vacuum(dim), three):
+            res = lattice.propagate(spec, field0, zmax, samples)
+            fields, drift, edge = _one_block(spec, field0, zmax, samples)
+            if bitwise:
+                assert res.fields.tobytes() == fields.tobytes(), samples
+                assert (res.norm_drift, res.edge_leakage) == (drift, edge[-1]), samples
+            else:
+                assert np.abs(res.fields - fields).max() <= 2e-15, samples
+                assert res.norm_drift == pytest.approx(drift, rel=0.0, abs=1e-14), samples
+                # a running max of |E_{N-1}| moves no more than the fields
+                assert abs(math.sqrt(res.edge_leakage) - math.sqrt(edge[-1])) <= 2e-15, samples
+
+
+def test_edge_leakage_guard_past_the_first_block():
+    # the first sample over the limit, the 92nd, is in the second block; the
+    # message and z are those of the running maximum over all samples
+    spec = LatticeSpec(LatticeKind.UNIFORM, 8)
+    zs = np.linspace(0.0, 3.0, 301)
+    edge = _one_block(spec, fock.vacuum(8), 3.0, 300)[2]
+    s = np.flatnonzero(edge[1:] > lattice.LEAKAGE_LIMIT)[0] + 1
+    assert s > lattice._BLOCK
+    with pytest.raises(TruncationOverflowError) as info:
+        lattice.propagate(spec, fock.vacuum(8), zmax=3.0, samples=300)
+    assert str(info.value) == (f"edge leakage {edge[s]:.3e} exceeds 1.0e-08 at z = {zs[s]:.6g}; "
+                               "increase the number of guides (dim = 8)")
+
+
+def test_propagate_holds_the_fields_and_one_block():
+    # the fields are 1.29 MB; with all 200 samples in one block the peak was 3.30 MB
+    spec = LatticeSpec(LatticeKind.SU11, 400)
+    lattice.propagate(spec, fock.vacuum(400), 2.0, samples=200)  # imports outside the count
+    assert peak_bytes(lambda: lattice.propagate(spec, fock.vacuum(400), 2.0, samples=200)) <= 2.75e6
 
 
 def test_uniform_guide0_amplitude():
@@ -225,13 +301,8 @@ def test_compare_to_oracle_holds_no_complex_closed_form():
     spec = LatticeSpec(LatticeKind.SU11, 400)
     res = lattice.propagate(spec, fock.vacuum(400), 2.0, samples=200)
     lattice.compare_to_oracle(res, spec)
-    tracemalloc.start()
-    try:
-        lattice.compare_to_oracle(res, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * 8 * 201 * 400  # the real rows, and not much more
+    # the real rows, and not much more
+    assert peak_bytes(lambda: lattice.compare_to_oracle(res, spec)) <= 2.5 * 8 * 201 * 400
 
 
 def test_su11_profile_past_cosh_overflow():

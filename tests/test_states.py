@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from mpmath import mp
 from focklat import algebra, fock, lattice, specfun, states
 from focklat.errors import BesselRootError, DimensionError, RangeError
 
-from oracles import bisect_j_root, series_j
+from oracles import bisect_j_root, peak_bytes, series_j
 
 
 def test_phase_state_amplitudes():
@@ -212,13 +211,8 @@ def test_london_ordered_matches_closed_form(alpha, dim):
 def test_london_ordered_matches_closed_form_at_the_dimension_ceiling():
     # the working size follows alpha, not dim: _bessel_top(10) = 38 levels
     states.london_state_ordered(5.0, 64)  # imports outside the count
-    tracemalloc.start()
-    try:
-        ordered = states.london_state_ordered(5.0, fock.MAX_DIM)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 16 * fock.MAX_DIM
+    assert peak_bytes(lambda: states.london_state_ordered(5.0, fock.MAX_DIM)) <= 4 * 16 * fock.MAX_DIM
+    ordered = states.london_state_ordered(5.0, fock.MAX_DIM)
     assert np.abs(ordered - states.london_state(5.0, fock.MAX_DIM)).max() <= 5e-15
     assert not ordered[algebra._bessel_top(10.0):].any()
 
