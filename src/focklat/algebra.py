@@ -41,7 +41,10 @@ The inner terms reach ~1e10 times the O(1) entries, so w and u and their
 powers are held in double-double arithmetic (Dekker, Numer. Math. 18,
 1971) and the inner products are formed from error-free slice products
 in BLAS (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012), with
-P real on the right.  The outer diagonals only scale finished entries,
+P real on the right.  P's slices are held and the left factor's are
+streamed, one at a time, into per-level accumulators: every partial sum
+of a level is exact, so each level is bitwise its whole sum, in whatever
+order BLAS adds.  The outer diagonals only scale finished entries,
 so they are rounded to double.  Powers such as 0.3^-384 or (1e-8)^k
 leave double range although the entries do not, so every power is
 carried as a mantissa and an integer binary exponent, and the exponents
@@ -345,18 +348,29 @@ def _exponents(mags):
     return np.where(m == 0, _NO_EXPONENT, e)
 
 
-def _slices(hi, lo, beta, out):
-    """Split hi + lo (each |.| < 1) into len(out) slices on the grids 2^-(s+1)beta.
+def _slices(hi, lo, beta, count):
+    """Yield hi + lo (each |.| < 1) cut into ``count`` slices on the grids 2^-(s+1)beta.
 
-    Slice s is written into out[s], a stack the caller allocates; returns out.
+    The slices stream through one buffer: slice s + 1 overwrites slice s,
+    so each is used before the next is asked for.  hi and lo are
+    overwritten by the remainders, which are kept in place with one more
+    scratch buffer.
     """
-    for s, top in enumerate(out):
+    top, bb = np.empty_like(hi), np.empty_like(hi)
+    for s in range(count):
         sigma = 1.5 * 2.0 ** (52 - (s + 1) * beta)
         np.add(hi, sigma, out=top)
         top -= sigma  # hi rounded to the grid, exactly
-        if s + 1 < len(out):  # the remainder after the last slice is not needed
-            hi, lo = _two_sum(hi - top, lo)
-    return out
+        yield top
+        if s + 1 == count:  # the remainder after the last slice is not needed
+            return
+        hi -= top  # exact
+        np.add(hi, lo, out=top)  # hi, lo = _two_sum(hi, lo), the sum in top's buffer
+        np.subtract(top, hi, out=bb)
+        lo -= bb
+        hi -= np.subtract(top, bb, out=bb)
+        lo += hi
+        hi, top = top, hi
 
 
 def _int32(e):
@@ -382,17 +396,21 @@ def _sliced_product(x, y, mid, left, right):
     an integer exponent per summation index, and the outer diagonals l and
     r are complex doubles given as (mantissas, integer exponents).  Only
     the exponents enter the scaling, so no factor need be representable on
-    its own: only the final entries must be.
+    its own: only the final entries must be.  x's arrays are overwritten.
 
     A power of two along the summation index first balances the two
     factors, so that rows whose large entries meet zeros do not push the
     grid above their small entries.  Rows of x and columns of y are then
     scaled by powers of two to a maximum below 1 and cut into slices of
     ``beta`` bits on a common grid.  The slice products x_s y_t of one
-    level s + t share a grid, so each level is a single BLAS product whose
-    sum of at most 8q real terms is exact, whatever order it adds them in.
-    y is real, so that product is a real one on the stacked real and
-    imaginary rows of x.  The levels are summed in
+    level s + t share a grid, and a level holds at most 8q real terms, so
+    every partial sum of a level is exact, whatever order it is added in.
+    So y's slices are held and x's streamed: x is scaled in place and cut
+    one slice at a time, and each x_s y_t (s + t < count) is one BLAS
+    product added into level s + t's accumulator.  Every level is bitwise
+    the sum of its terms, as if it were one product, while no more than
+    one slice of x is alive.  y is real, so every product is a real one on
+    the real and imaginary parts of x.  The levels are summed in
     double-double down to 2^-60 of the scale of the *final* entries, the
     outer diagonals included (at most eight slices: past that the tables
     carry no more digits).
@@ -404,26 +422,30 @@ def _sliced_product(x, y, mid, left, right):
     bal = ((ey + re[None, :]).max(axis=1) - (ex + le[:, None]).max(axis=0)) // 2
     row = (ex + bal[None, :]).max(axis=1)  # exponents of x diag(2^(mid + bal)), per row
     col = (ey - bal[:, None]).max(axis=0)  # exponents of diag(2^-bal) y, per column
-    p, q = ex.shape
+    (p, q), r = ex.shape, ey.shape[1]
+    del ex, ey
     beta = (52 - (8 * q - 1).bit_length()) // 2
     need = (row + le).max() + (col + re).max() + q.bit_length() + 4 + 60
     count = int(max(1, min(8, -(-need // beta))))
-    xe = _int32((mid + bal)[None, :] - row[:, None])
     ye = _int32(-bal[:, None] - col[None, :])
-    # x's slices side by side and y's stacked in reverse, so level s + t is
-    # one product of a leading block of xs with a trailing block of ys
-    xs = np.empty((2 * p, count, q))
-    _slices(np.ldexp(xh, xe).reshape(2 * p, q), np.ldexp(xl, xe).reshape(2 * p, q), beta,
-            xs.transpose(1, 0, 2))
-    xs = xs.reshape(2 * p, count * q)
-    ys = np.empty((count, q, yh.shape[1]))
-    _slices(np.ldexp(yh, ye), np.ldexp(yl, ye), beta, ys[::-1])
-    ys = ys.reshape(count * q, -1)
+    ys = np.empty((count, q, r))
+    for t, yt in enumerate(_slices(np.ldexp(yh, ye), np.ldexp(yl, ye), beta, count)):
+        ys[t] = yt
+    del yt  # the stream's buffer, freed before x is cut
+    xe = _int32((mid + bal)[None, :] - row[:, None])
+    np.ldexp(xh, xe, out=xh)
+    np.ldexp(xl, xe, out=xl)
+    levels = np.zeros((count, 2, p, r))  # levels[s + t] gathers the products x_s y_t
+    part = np.empty((2, p, r))
+    for s, xs in enumerate(_slices(xh, xl, beta, count)):
+        for t in range(count - s):
+            levels[s + t] += np.matmul(xs, ys[t], out=part)
+    del x, xh, xl, xs, ys, part  # only the levels are alive for their sum
     hi = lo = 0.0
-    for level in range(count):
-        hi, err = _two_sum(hi, xs[:, :(level + 1) * q] @ ys[(count - 1 - level) * q:])
+    for level in levels:
+        hi, err = _two_sum(hi, level)
         lo = lo + err
-    out = (hi + lo).reshape(2, p, -1)
+    out = hi + lo
     out = (out[0] + 1j * out[1]) * lm[:, None] * rm[None, :]
     return _cldexp(out, (row + le)[:, None] + (col + re)[None, :])
 
@@ -487,8 +509,9 @@ def _ordered_blocks(sides, keep, levels, binom):
                 q = binom[0][:levels, :keep], binom[1][:levels, :keep]  # q[k, n] = C(k, n)
             wh, wl, we = next(powers)
             n = len(q[0])
-            x = _dd_mul((q[0].T, q[1].T), (wh[:, None, :n], wl[:, None, :n]))  # q^T diag(w^k)
-            blocks.append(_sliced_product(x, q, we[:n], left, right))
+            factors = (q[0].T, q[1].T), (wh[:, None, :n], wl[:, None, :n])
+            # x = q^T diag(w^k) is handed over with no other reference: it is overwritten
+            blocks.append(_sliced_product(_dd_mul(*factors), q, we[:n], left, right))
         else:
             table = {"lower": binom[0][:keep, :keep], "upper": binom[0][:keep, :keep].T,
                      "diagonal": np.eye(keep)}[form]
@@ -559,7 +582,7 @@ def verify_bch(params, dim, edge_exclude=None):
     ------
     DimensionError
         For a dim that is not an integer >= 2, or an edge exclusion that is
-        not an integer in [0, dim).
+        not an integer in [0, dim) (not a bool).
     RangeError
         For non-finite parameters, a dimension above 1024 levels, or
         antinormal sums that do not converge within 1024 levels
@@ -570,7 +593,8 @@ def verify_bch(params, dim, edge_exclude=None):
     dim = fock._check_dim(dim)
     if dim > _MAX_LEVELS:
         raise RangeError(f"dimension {dim} exceeds {_MAX_LEVELS}")
-    if edge_exclude is not None and not isinstance(edge_exclude, (int, np.integer)):
+    if edge_exclude is not None and (not isinstance(edge_exclude, (int, np.integer))
+                                     or isinstance(edge_exclude, bool)):
         raise DimensionError(f"edge exclusion must be an integer, got {edge_exclude!r}")
     b = math.ceil(dim / 4) if edge_exclude is None else int(edge_exclude)
     if not 0 <= b < dim:

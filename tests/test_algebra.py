@@ -254,12 +254,20 @@ def test_verify_bch_criterion_3_residuals_are_pinned():
     assert residuals == _CRITERION_3_RESIDUALS
 
 
-def test_verify_bch_builds_its_slice_stacks_in_place():
-    # draw 41 sets the peak of the 50; with the slices gathered in lists and
-    # then concatenated it reached 2.22 MB
+def test_verify_bch_streams_the_slices_of_x():
+    # draw 41 sets the peak of the 50: 1.11 MB with x's slices streamed.  With
+    # all of x's slices held it reached 1.82 MB, and 2.22 MB with the slices
+    # gathered in lists and then concatenated.
     b = _criterion_3_draw(41)
     algebra.verify_bch(b, 64, edge_exclude=16)  # the Pascal table is cached outside the count
-    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 1.95e6
+    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 1.25e6
+
+
+def test_verify_bch_peak_at_dim_256():
+    # the documented bch-check input: 12.2 MB streamed, 17.0 MB with x's slices held
+    b = BCHParams(0.1 + 0.05j, 1.0, 0.1, Ordering.ANTINORMAL_FIRST)
+    algebra.verify_bch(b, 256)
+    assert peak_bytes(lambda: algebra.verify_bch(b, 256)) <= 14e6
 
 
 @pytest.mark.parametrize("dim,edge_exclude,error", [
@@ -268,6 +276,7 @@ def test_verify_bch_builds_its_slice_stacks_in_place():
     (64, 16.5, DimensionError),  # was cut to 16 by int()
     (1, None, DimensionError),
     (64, 64, DimensionError),
+    (64, True, DimensionError),  # ran as an edge exclusion of 1
     (1025, None, RangeError),
 ])
 def test_verify_bch_rejects_bad_sizes(dim, edge_exclude, error):
@@ -380,6 +389,68 @@ def test_rotation_conjugation_rejects_bad_input(alpha, dim, error):
         algebra.rotation_conjugation_check(alpha, dim)
 
 
+# The stacked slice product that the streamed one replaced, kept as its
+# reference: every slice of x and of y is held, and each level is one BLAS
+# product of the leading x slices, laid side by side, with the trailing y
+# slices, stacked in reverse.
+
+def _stacked_slices(hi, lo, beta, out):
+    for s, top in enumerate(out):
+        sigma = 1.5 * 2.0 ** (52 - (s + 1) * beta)
+        np.add(hi, sigma, out=top)
+        top -= sigma
+        if s + 1 < len(out):
+            hi, lo = algebra._two_sum(hi - top, lo)
+    return out
+
+
+def _stacked_sliced_product(x, y, mid, left, right):
+    (xh, xl), (yh, yl) = x, y
+    (lm, le), (rm, re) = left, right
+    ex = algebra._exponents(np.maximum(np.abs(xh[0]), np.abs(xh[1]))) + mid[None, :]
+    ey = algebra._exponents(np.abs(yh))
+    bal = ((ey + re[None, :]).max(axis=1) - (ex + le[:, None]).max(axis=0)) // 2
+    row = (ex + bal[None, :]).max(axis=1)
+    col = (ey - bal[:, None]).max(axis=0)
+    p, q = ex.shape
+    beta = (52 - (8 * q - 1).bit_length()) // 2
+    need = (row + le).max() + (col + re).max() + q.bit_length() + 4 + 60
+    count = int(max(1, min(8, -(-need // beta))))
+    xe = algebra._int32((mid + bal)[None, :] - row[:, None])
+    ye = algebra._int32(-bal[:, None] - col[None, :])
+    xs = np.empty((2 * p, count, q))
+    _stacked_slices(np.ldexp(xh, xe).reshape(2 * p, q), np.ldexp(xl, xe).reshape(2 * p, q),
+                    beta, xs.transpose(1, 0, 2))
+    xs = xs.reshape(2 * p, count * q)
+    ys = np.empty((count, q, yh.shape[1]))
+    _stacked_slices(np.ldexp(yh, ye), np.ldexp(yl, ye), beta, ys[::-1])
+    ys = ys.reshape(count * q, -1)
+    hi = lo = 0.0
+    for level in range(count):
+        hi, err = algebra._two_sum(hi, xs[:, :(level + 1) * q] @ ys[(count - 1 - level) * q:])
+        lo = lo + err
+    out = (hi + lo).reshape(2, p, -1)
+    out = (out[0] + 1j * out[1]) * lm[:, None] * rm[None, :]
+    return algebra._cldexp(out, (row + le)[:, None] + (col + re)[None, :])
+
+
+@pytest.mark.parametrize("params,dim", [
+    # the documented bch-check input, and as normal-first input: 7 and 8
+    # slices of 19 or 20 bits
+    (BCHParams(0.1 + 0.05j, 1.0, 0.1, Ordering.ANTINORMAL_FIRST), 256),
+    (BCHParams(0.1 + 0.05j, 1.0, 0.1, Ordering.NORMAL_FIRST), 512),
+    (BCHParams(0.25 - 0.1j, np.exp(-1.3j), 0.0, Ordering.ANTINORMAL_FIRST), 64),  # B- = 0
+    (BCHParams(0.0, np.exp(0.9j), 0.2 - 0.1j, Ordering.ANTINORMAL_FIRST), 64),  # B+ = 0
+    # the known misses: 6.1e-4 and 0.19, where the identity holds
+    (BCHParams(0.29j, -1.0, 0.3, Ordering.ANTINORMAL_FIRST), 300),
+    (BCHParams(0.2 - 0.1j, 0.8j, 0.25, Ordering.NORMAL_FIRST), 256),
+])
+def test_streamed_slices_give_the_stacked_residuals(params, dim, monkeypatch):
+    streamed = algebra.verify_bch(params, dim)
+    monkeypatch.setattr(algebra, "_sliced_product", _stacked_sliced_product)
+    assert algebra.verify_bch(params, dim) == streamed
+
+
 # The gather route that verify_bch's factorised sums replaced, kept as their
 # reference: exp(x K+) as the Toeplitz table C(i, j) x^(i-j), gathered from
 # double-double powers, and each product X diag(z^k) Y sliced as a whole in
@@ -433,7 +504,7 @@ def _gather_sliced_product(x, y):
 
     def stack(hi, lo, e):
         hi = np.ldexp(hi, e)
-        return algebra._slices(hi, np.ldexp(lo, e), beta, np.empty((count, *hi.shape)))
+        return _stacked_slices(hi, np.ldexp(lo, e), beta, np.empty((count, *hi.shape)))
 
     def sliced(re, im, e):
         return [r + 1j * i for r, i in zip(stack(*re, e), stack(*im, e))]
