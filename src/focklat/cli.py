@@ -123,7 +123,6 @@ _OPTION_TABLES = {
         "zmax": (float, None, True),
         "dim": (int, None, True),
         "samples": (int, 1, False),
-        "sign": (int, 1, False),
     },
     "propagate": {
         "lattice": (str, None, True),
@@ -131,7 +130,6 @@ _OPTION_TABLES = {
         "zmax": (float, None, True),
         "dim": (int, None, True),
         "samples": (int, 200, False),
-        "sign": (int, 1, False),
     },
     "bch-check": {
         "xplus": (parse_complex, None, True),
@@ -273,8 +271,6 @@ def _validate(command, params):
     elif command in ("impulse", "propagate"):
         if params["lattice"] not in _LATTICE_KINDS:
             raise UsageError(f"lattice must be one of {sorted(_LATTICE_KINDS)}")
-        if params["sign"] not in (1, -1):
-            raise UsageError("sign must be 1 or -1")
         if params["samples"] < 1:
             raise UsageError("samples must be positive")
     elif command == "bch-check":
@@ -378,19 +374,16 @@ def _run_state(params):
 
 
 def _run_impulse(params):
-    spec = lattice.LatticeSpec(kind=_LATTICE_KINDS[params["lattice"]], dim=params["dim"],
-                               sign=params["sign"])
-    samples = params["samples"]
+    spec = lattice.LatticeSpec(kind=_LATTICE_KINDS[params["lattice"]], dim=params["dim"])
     header = ["z", "guide", "re", "im", "abs2"]
-    zs = [params["zmax"] * s / samples for s in range(1, samples + 1)]
+    zs = lattice.sample_grid(params["zmax"], params["samples"])[1:]
     profiles = lattice.impulse_profiles(spec, zs)
     diagnostics = {"normalization_last_z": _f(np.sum(np.abs(profiles[-1]) ** 2))}
     return header, _field_rows(zs, profiles), diagnostics, 0
 
 
 def _run_propagate(params):
-    spec = lattice.LatticeSpec(kind=_LATTICE_KINDS[params["lattice"]], dim=params["dim"],
-                               sign=params["sign"])
+    spec = lattice.LatticeSpec(kind=_LATTICE_KINDS[params["lattice"]], dim=params["dim"])
     guide_in = params["input_waveguide"]
     if not 0 <= guide_in < spec.dim:
         raise UsageError(f"input waveguide {guide_in} outside [0, {spec.dim})")

@@ -8,8 +8,9 @@ use couplings
     Uniform:  g_j = 1          (homogeneous),
 
 so the field evolves as E(z) = exp(i z H) E(0) with H the corresponding
-tridiagonal coupling matrix.  Unit input at guide 0 has the closed-form
-responses
+tridiagonal coupling matrix; that is the module's one convention, and as H
+is real, exp(-i z H) E(0) = conj(exp(i z H) conj(E(0))).  Unit input at
+guide 0 has the closed-form responses
 
     Su11:     I_m(z) = sech z (i tanh z)^m,
     Uniform:  I_m(z) = (1/z) i^m (m + 1) J_{m+1}(2 z),
@@ -59,22 +60,16 @@ class LatticeKind(Enum):
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Lattice family, number of guides, and evolution sign.
-
-    ``sign = +1`` propagates exp(+i z H), the convention of the
-    coupled-mode equations above and of both closed-form impulse
-    responses; ``sign = -1`` propagates exp(-i z H).
-    """
+    """Lattice family and number of guides; every lattice evolves as exp(+i z H)."""
 
     kind: LatticeKind
     dim: int
-    sign: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.kind, LatticeKind):
+            raise RangeError(f"kind must be a LatticeKind, got {self.kind!r}")
         if not isinstance(self.dim, (int, np.integer)) or self.dim < 2:
             raise DimensionError(f"lattice needs at least 2 guides, got {self.dim!r}")
-        if self.sign not in (1, -1):
-            raise RangeError(f"sign must be +1 or -1, got {self.sign!r}")
 
 
 @dataclass(frozen=True)
@@ -126,11 +121,25 @@ def _quarter_turns(dim):
     return turns
 
 
+def sample_grid(zmax, samples):
+    """The z values of :func:`propagate`, ``np.linspace(0, zmax, samples + 1)``, for
+    a finite ``zmax >= 0`` and an integer ``samples >= 1`` (not a bool)."""
+    if not (math.isfinite(zmax) and zmax >= 0):
+        raise RangeError(f"zmax must be finite and non-negative, got {zmax}")
+    if (not isinstance(samples, (int, np.integer)) or isinstance(samples, bool)
+            or samples < 1):
+        raise RangeError(f"samples must be a positive integer, got {samples!r}")
+    return np.linspace(0.0, zmax, samples + 1)
+
+
 def propagate(spec, input_field, zmax, samples=200):
-    """Fields E(z) = exp(i sign z H) E(0), exact up to rounding (about 1e-15).
+    """Fields E(z) = exp(i z H) E(0), exact up to rounding (about 1e-15).
+
+    H is real, so the fields of exp(-i z H) are
+    ``propagate(spec, E0.conj(), ...).fields.conj()``.
 
     One half-spectrum decomposition of H (:func:`algebra._half_spectrum`)
-    gives every sample at once.  With theta = sign z rate,
+    gives every sample at once.  With theta = z rate,
     a = weight Ue^T E(0)[even] and b = weight Uo^T E(0)[odd],
 
         E(z)[even] = Ue (cos(theta) a + i sin(theta) b),
@@ -151,12 +160,13 @@ def propagate(spec, input_field, zmax, samples=200):
     zmax : float
         Propagation length, finite and non-negative.
     samples : int
-        Fields are recorded at ``samples`` evenly spaced points past 0; an
-        integer of at least 1 (not a bool).
+        Fields are recorded at the ``samples + 1`` values of
+        :func:`sample_grid`, z = 0 included.
 
     Returns
     -------
     PropagationResult
+        ``samples + 1`` rows, all of them the input when ``zmax`` is 0.
         ``norm_drift`` is the largest |‖E(z)‖² - ‖E(0)‖²| over the samples.
 
     Raises
@@ -176,16 +186,12 @@ def propagate(spec, input_field, zmax, samples=200):
     norm0 = float(np.vdot(v, v).real)
     if norm0 == 0.0:
         raise RangeError("input field must be nonzero")
-    if not (math.isfinite(zmax) and zmax >= 0):
-        raise RangeError(f"zmax must be finite and non-negative, got {zmax}")
-    if (not isinstance(samples, (int, np.integer)) or isinstance(samples, bool)
-            or samples < 1):
-        raise RangeError(f"samples must be a positive integer, got {samples!r}")
+    z_grid = sample_grid(zmax, samples)
 
     if zmax == 0.0:
         return PropagationResult(
-            z_grid=np.zeros(1),
-            fields=v[None, :].copy(),
+            z_grid=z_grid,
+            fields=np.tile(v, (samples + 1, 1)),
             norm_drift=0.0,
             edge_leakage=float(abs(v[-1]) ** 2),
         )
@@ -193,7 +199,6 @@ def propagate(spec, input_field, zmax, samples=200):
     ue, uo, rate, weight = _half_spectrum(_couplings(spec)[0])
     if not math.isfinite(zmax * float(rate.max())):
         raise NumericError(f"zmax = {zmax} times the largest eigenvalue overflows")
-    z_grid = np.linspace(0.0, zmax, samples + 1)
     even, odd = v[0::2], v[1::2]
     a_re, a_im = weight * (even.real @ ue), weight * (even.imag @ ue)
     b_re, b_im = weight * (odd.real @ uo), weight * (odd.imag @ uo)
@@ -208,7 +213,7 @@ def propagate(spec, input_field, zmax, samples=200):
     edge[0] = np.abs(v[-1]) ** 2
     for lo in range(1, samples + 1, _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        theta = spec.sign * np.outer(z_grid[rows], rate)
+        theta = np.outer(z_grid[rows], rate)
         cos = np.cos(theta)
         sin = np.sin(theta, out=theta)
         for out, u, x, y in products:

@@ -51,6 +51,19 @@ def test_unknown_flag_is_usage_error():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["impulse", "propagate"])
+def test_sign_is_not_an_option(command, tmp_path, capsys):
+    # the lattices evolve as exp(+i z H) alone; --sign -1 was honoured by
+    # propagate but not by impulse or the oracle comparison
+    argv = [command, "--lattice", "su11", "--zmax", "1", "--dim", "64", "--samples", "4"]
+    status, out, _ = run_cli(argv + ["--sign", "-1"], capsys)
+    assert status == 2 and out == ""
+    cfg = tmp_path / "sign.cfg"
+    cfg.write_text("sign = 1\n")
+    status, out, err = run_cli(argv + ["--config", str(cfg)], capsys)
+    assert status == 2 and out == "" and "unknown config keys: sign" in err
+
+
 def test_missing_required_parameter():
     with pytest.raises(UsageError):
         cli.parse_args(["state", "--family", "phase", "--phi", "0"])
@@ -506,9 +519,25 @@ def test_impulse_rows_match_the_per_cell_formatter(lattice, zmax, dim, samples, 
     status, out, _ = run_cli(argv, capsys)
     assert status == 0
     spec = cli.lattice.LatticeSpec(cli._LATTICE_KINDS[lattice], dim)
-    zs = [float(zmax) * s / samples for s in range(1, samples + 1)]
+    zs = np.linspace(0.0, float(zmax), samples + 1)[1:]
     cells = _reference_field_cells(zs, cli.lattice.impulse_profiles(spec, zs))
     assert out == _reference_output(fmt, out, ["z", "guide", "re", "im", "abs2"], cells)
+
+
+@pytest.mark.parametrize("zmax,samples", [
+    ("0.7", 3), ("1", 4), ("5", 200), ("0.3", 7), ("2.9", 11), ("1e-300", 3), ("0", 2),
+])
+def test_impulse_samples_the_z_values_of_propagate(zmax, samples, capsys):
+    # impulse computed zmax * s / samples, which ended 0.7 at 0.6999999999999998
+    def z_column(command):
+        status, out, _ = run_cli([command, "--lattice", "uniform", "--zmax", zmax, "--dim", "64",
+                                  "--samples", str(samples)], capsys)
+        assert status == 0
+        lines = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+        return [line.split(",", 1)[0] for line in lines[::64]]
+
+    assert z_column("impulse") == z_column("propagate")[1:]
+    assert z_column("impulse")[-1] == repr(float(zmax))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

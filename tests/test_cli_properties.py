@@ -79,7 +79,6 @@ commands = st.one_of(
         "zmax": reals,
         "dim": dims(256),
         "samples": _maybe(small_ints),
-        "sign": _maybe(st.sampled_from(["1", "-1", "0"])),
         "format": st.sampled_from(["csv", "json"]),
     }).map(lambda o: _argv("impulse", o)),
     st.fixed_dictionaries({
@@ -88,7 +87,6 @@ commands = st.one_of(
         "zmax": reals,
         "dim": dims(256),
         "samples": _maybe(small_ints),
-        "sign": _maybe(st.sampled_from(["1", "-1", "2"])),
         "format": st.sampled_from(["csv", "json"]),
     }).map(lambda o: _argv("propagate", o)),
     st.fixed_dictionaries({

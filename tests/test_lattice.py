@@ -34,15 +34,19 @@ def test_su11_hamiltonian_matrix():
 def test_lattice_spec_validation():
     with pytest.raises(DimensionError):
         LatticeSpec(LatticeKind.UNIFORM, 1)
-    with pytest.raises(RangeError):
-        LatticeSpec(LatticeKind.UNIFORM, 8, sign=2)
+    # any kind but a LatticeKind ran as the uniform lattice
+    for kind in ("su11", None):
+        with pytest.raises(RangeError):
+            LatticeSpec(kind, 64)
 
 
 def test_zero_length_propagation():
     spec = LatticeSpec(LatticeKind.UNIFORM, 8)
     v = states.london_state(1.0, 8)
-    res = lattice.propagate(spec, v, zmax=0.0)
-    assert np.array_equal(res.fields[0], v)
+    res = lattice.propagate(spec, v, zmax=0.0, samples=3)
+    # one row per sample, as at any other length
+    assert res.fields.shape == (4, 8) and np.array_equal(res.z_grid, np.zeros(4))
+    assert all(np.array_equal(field, v) for field in res.fields)
     assert res.norm_drift == 0.0
     assert lattice.compare_to_oracle(
         lattice.propagate(spec, fock.vacuum(8), zmax=0.0), spec) == 0.0
@@ -76,7 +80,7 @@ def _one_block(spec, field0, zmax, samples):
     sample in one product of each kind, as before propagate took blocks.
     """
     ue, uo, rate, weight = _half_spectrum(lattice._couplings(spec)[0])
-    theta = spec.sign * np.outer(np.linspace(0.0, zmax, samples + 1)[1:], rate)
+    theta = np.outer(np.linspace(0.0, zmax, samples + 1)[1:], rate)
     cos, sin = np.cos(theta), np.sin(theta)
     even, odd = field0[0::2], field0[1::2]
     a_re, a_im = weight * (even.real @ ue), weight * (even.imag @ ue)
@@ -93,17 +97,16 @@ def _one_block(spec, field0, zmax, samples):
     return fields, drift, np.maximum.accumulate(np.abs(fields[:, -1]) ** 2)
 
 
-@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("kind,dim,zmax", [
     (LatticeKind.UNIFORM, 64, 1.5), (LatticeKind.UNIFORM, 65, 1.5),
     (LatticeKind.SU11, 400, 1.0), (LatticeKind.SU11, 401, 1.0),
 ])
-def test_blocked_fields_are_the_one_block_fields(kind, dim, zmax, sign):
+def test_blocked_fields_are_the_one_block_fields(kind, dim, zmax):
     # Bitwise where N/2 is a multiple of 8 and no block is a single sample.
     # Elsewhere BLAS may sum a block of another length in another order (a
     # one-sample block is a matrix-vector product): 1.1e-15 was the largest
     # move seen, at N = 401.
-    spec = LatticeSpec(kind, dim, sign)
+    spec = LatticeSpec(kind, dim)
     three = np.zeros(dim, dtype=complex)
     three[:3] = [0.6 - 0.2j, -0.3 + 0.5j, 0.25j]
     for samples in (1, 63, 64, 65, 128, 129):
@@ -192,18 +195,20 @@ DENSE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("kind,dim,zmax", DENSE_CASES)
-def test_propagation_matches_dense_exponential(kind, dim, zmax, sign):
+def test_propagation_matches_dense_exponential(kind, dim, zmax, direction):
     # odd N has a zero mode on the even guides, which the positive half of
-    # the spectrum does not carry; it must still reach the fields
-    spec = LatticeSpec(kind, dim, sign)
+    # the spectrum does not carry; it must still reach the fields.
+    # exp(-i z H) E0 is propagate's conjugation recipe, conj(exp(i z H) conj(E0))
+    spec = LatticeSpec(kind, dim)
     field0 = np.zeros(dim, dtype=complex)
     field0[:3] = [0.6 - 0.2j, -0.3 + 0.5j, 0.25j]
-    res = lattice.propagate(spec, field0, zmax=zmax, samples=4)
+    turn = np.asarray if direction == 1 else np.conj
+    res = lattice.propagate(spec, turn(field0), zmax=zmax, samples=4)
     h = lattice.build_hamiltonian(spec)
-    for z, field in zip(res.z_grid, res.fields):
-        ref = fock.expm(h, 1j * sign * z).apply(field0)
+    for z, field in zip(res.z_grid, turn(res.fields)):
+        ref = fock.expm(h, 1j * direction * z).apply(field0)
         assert np.abs(field - ref).max() <= 1e-12, z
 
 
@@ -227,15 +232,6 @@ def test_uniform_field_is_phased_shift_state():
     m = np.arange(dim)
     expected = (1j**m) * states.london_state(z, dim)
     assert np.abs(res.fields[-1] - expected).max() <= 1e-9
-
-
-def test_sign_convention_conjugates_field():
-    dim, z = 32, 0.8
-    plus = lattice.propagate(LatticeSpec(LatticeKind.UNIFORM, dim), fock.vacuum(dim),
-                             zmax=z, samples=10)
-    minus = lattice.propagate(LatticeSpec(LatticeKind.UNIFORM, dim, sign=-1), fock.vacuum(dim),
-                              zmax=z, samples=10)
-    assert np.abs(plus.fields[-1] - minus.fields[-1].conj()).max() <= 1e-10
 
 
 def test_analytic_profile_normalisation():
@@ -267,18 +263,17 @@ def test_compare_to_oracle_is_the_worst_sample():
     assert lattice.compare_to_oracle(res, spec) == worst
 
 
-@pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("kind,dim,zmax", [
     (LatticeKind.SU11, 2, 1e-5), (LatticeKind.SU11, 2, 0.0), (LatticeKind.SU11, 3, 1e-3),
     (LatticeKind.SU11, 200, 1.5), (LatticeKind.SU11, 401, 2.0),
     (LatticeKind.UNIFORM, 33, 3.0), (LatticeKind.UNIFORM, 64, 5.0),
     (LatticeKind.UNIFORM, 65, 5.0),
 ])
-def test_compare_to_oracle_is_the_complex_modulus(kind, dim, zmax, sign):
+def test_compare_to_oracle_is_the_complex_modulus(kind, dim, zmax):
     # per parity against the signed real rows: bitwise the modulus of the
     # complex difference from impulse_profiles, also where a parity has no
     # kept guide (su11 at dim 2 keeps guide 0 alone)
-    spec = LatticeSpec(kind, dim, sign)
+    spec = LatticeSpec(kind, dim)
     res = lattice.propagate(spec, fock.vacuum(dim), zmax)
     keep = dim - lattice.build_hamiltonian(spec).edge_band
     ana = lattice.impulse_profiles(spec, res.z_grid)
