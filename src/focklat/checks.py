@@ -198,10 +198,7 @@ SUITES = {
 def run_suite(name, dim=64, seed=12345):
     """Run one named suite (or ``all``) and return its check results."""
     if name == "all":
-        results = []
-        for key in ("specfun", "algebra", "states", "lattice"):
-            results.extend(SUITES[key](dim=dim, seed=seed))
-        return results
+        return [result for suite in SUITES.values() for result in suite(dim=dim, seed=seed)]
     if name not in SUITES:
         raise RangeError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     return SUITES[name](dim=dim, seed=seed)

@@ -7,7 +7,7 @@ the shortest round-trip decimal form so identical configurations emit
 byte-identical output.  Each row is formed once, as its CSV line, from
 Python floats (an array's ``.tolist()``); a JSON record fills a template
 built once from the header with that line's cells, the ``index`` and
-``guide`` cells as integers.  The argparse tree is built once per process.
+``guide`` cells as integers.
 
 A command computes all its arrays, diagnostics and exit status before its
 output is opened, so a failing command writes nothing.  The rows are then
@@ -15,21 +15,23 @@ streamed one block at a time (one z sample of ``impulse`` and
 ``propagate``), and nothing holds the whole text: a command's memory is its
 arrays plus one sample's rows.
 
-Options may also come from a flat ``key = value`` config file passed with
-``--config``; explicit flags win over file values.  An option's value may
-start with '-' (``--alpha -0.5+1i``) unless it is one of the command's own
-flags.  Exit codes: 0 success
-(all residuals within tolerance for the checking commands), 2 usage,
-3 range or precondition violation, 4 Bessel-root singularity,
-5 truncation overflow, 6 numeric failure (an exhausted memory included).
+The option tables below are the grammar; argv is read straight against
+them.  A flag is one of the command's exact names, ``--name=value`` or
+``--name value``, where the value is the next token unless that token is
+one of the command's own flags (so ``--alpha -0.5+1i`` works).  A boolean
+flag alone means true, and ``--name=true|false`` reads as it does in the
+flat ``key = value`` config file passed with ``--config``.  Flags win over
+file values; of a repeated flag, the last wins.  ``-h``/``--help`` prints
+the command's flags and exits 0.  Exit codes: 0 success (all residuals
+within tolerance for the checking commands), 2 usage, 3 range or
+precondition violation, 4 Bessel-root singularity, 5 truncation overflow,
+6 numeric failure (an exhausted memory included).
 
-``--dim`` is at most ``fock.MAX_DIM`` (4096) levels or guides for every
+``--dim`` is from 2 to ``fock.MAX_DIM`` (4096) levels or guides for every
 command, checked before anything of that size is allocated; ``bch-check``
-keeps its own limit of 1024.  A larger value exits 3.
+keeps its own limit of 1024.  Any other value exits 3.
 """
 
-import argparse
-import functools
 import json
 import math
 import sys
@@ -39,9 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import algebra, checks, fock, lattice, states
-from .errors import FocklatError, NumericError, RangeError, UsageError
-
-_COMMANDS = ("state", "impulse", "propagate", "bch-check", "verify")
+from .errors import FocklatError, NumericError, UsageError
 
 # name -> (converter, default, required); converters run on config values too
 _COMMON_OPTIONS = {
@@ -55,11 +55,6 @@ _STATE_BUILDERS = {
     "bg": lambda p: states.bg_state(p["alpha"], p["dim"]),
     "london": lambda p: states.london_state(p["alpha"], p["dim"]),
     "su11": lambda p: states.su11_perelomov_state(p["alpha"], p["k"], p["dim"]),
-}
-
-_LATTICE_KINDS = {
-    "su11": lattice.LatticeKind.SU11,
-    "uniform": lattice.LatticeKind.UNIFORM,
 }
 
 
@@ -173,77 +168,79 @@ def _load_config_file(path):
     return values
 
 
-@functools.cache
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="focklat",
-        description="Truncated Fock-space states, operator identities and waveguide lattices.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None)
-        for table in (_OPTION_TABLES[command], _COMMON_OPTIONS):
-            for name, (conv, _default, _required) in table.items():
-                flag = "--" + name.replace("_", "-")
-                if conv is _parse_bool:
-                    p.add_argument(flag, action="store_true", default=None, dest=name)
-                else:
-                    p.add_argument(flag, type=str, default=None, dest=name)
-    return parser
+class _HelpRequested(Exception):
+    """``-h`` or ``--help`` was given; carries the usage text, printed with exit status 0."""
 
 
-def _join_values(argv):
-    """``argv`` with each ``--name value`` of a value option written ``--name=value``.
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
-    argparse reads a token that starts with '-' as a flag unless it looks
-    like a plain negative decimal, so ``--alpha -0.5+1i`` or ``--xplus
-    -1e-3`` would be refused.  Here a value option of the subcommand takes
-    the next token unless that token is one of the subcommand's own flags.
+
+def _usage(command, table):
+    """The ``--help`` text of ``command``, whose flags are ``table``."""
+    lines = [f"usage: focklat {command} [--name value | --name=value ...]"]
+    for name, (conv, default, required) in table.items():
+        spelling = _flag(name) + ("[=true|false]" if conv is _parse_bool else " VALUE")
+        note = "required" if required else "" if default is None else f"default {default}"
+        lines.append(f"  {spelling:<26}{note}".rstrip())
+    return "\n".join([*lines, "  -h, --help", ""])
+
+
+def _scan(command, args, table):
+    """``{name: raw value}`` of the flags in ``args``, by the grammar of the module
+    docstring; ``table`` holds ``command``'s flags, and a bare boolean flag is True.
     """
-    if not argv or argv[0] not in _COMMANDS:
-        return argv
-    table = {**_OPTION_TABLES[argv[0]], **_COMMON_OPTIONS, "config": (str, None, False)}
-    flags = {"-h", "--help", *("--" + name.replace("_", "-") for name in table)}
-    takes_value = {"--" + name.replace("_", "-") for name, (conv, _, _) in table.items()
-                   if conv is not _parse_bool}
-    out, i = [argv[0]], 1
-    while i < len(argv):
-        if (argv[i] in takes_value and i + 1 < len(argv)
-                and argv[i + 1].split("=", 1)[0] not in flags):
-            out.append(f"{argv[i]}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out
+    if "-h" in args or "--help" in args:
+        raise _HelpRequested(_usage(command, table))
+    names = {_flag(name): name for name in table}
+    raw, i = {}, 0
+    while i < len(args):
+        flag, eq, value = args[i].partition("=")
+        if flag not in names:
+            raise UsageError(f"unknown argument {args[i]!r}; 'focklat {command} --help' "
+                             "lists the flags")
+        name, i = names[flag], i + 1
+        if not eq:
+            if table[name][0] is _parse_bool:
+                value = True
+            elif i < len(args) and args[i].partition("=")[0] not in names:
+                value, i = args[i], i + 1
+            else:
+                raise UsageError(f"{flag} needs a value")
+        raw[name] = value
+    return raw
 
 
 def parse_args(argv):
     """Turn an argument vector into a validated :class:`RunConfig`."""
-    ns = _build_parser().parse_args(_join_values(argv))
-    command = ns.command
-    file_values = _load_config_file(ns.config) if ns.config else {}
-
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        raise _HelpRequested("usage: focklat COMMAND [--name value | --name=value ...]\n"
+                             f"commands: {', '.join(_OPTION_TABLES)}; "
+                             "'focklat COMMAND --help' lists the flags of a command\n")
+    if command not in _OPTION_TABLES:
+        what = "missing command" if command is None else f"unknown command {command!r}"
+        raise UsageError(f"{what}; choose from {', '.join(_OPTION_TABLES)}")
     tables = {**_OPTION_TABLES[command], **_COMMON_OPTIONS}
+    flags = _scan(command, argv[1:], {**tables, "config": (str, None, False)})
+    config_path = flags.pop("config", None)
+    file_values = _load_config_file(config_path) if config_path else {}
     unknown = set(file_values) - set(tables)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
+    given = {**file_values, **flags}
     params = {}
     for name, (conv, default, required) in tables.items():
-        raw = getattr(ns, name)
-        if raw is None and name in file_values:
-            raw = file_values[name]
-        if raw is None:
+        if name not in given:
             if required:
-                raise UsageError(f"missing required parameter --{name.replace('_', '-')}")
+                raise UsageError(f"missing required parameter {_flag(name)}")
             params[name] = default
             continue
         try:
-            params[name] = conv(raw)
+            params[name] = conv(given[name])
         except (ValueError, TypeError):
-            raise UsageError(f"bad value {raw!r} for --{name.replace('_', '-')}")
+            raise UsageError(f"bad value {given[name]!r} for {_flag(name)}")
 
     fmt = params.pop("format")
     if fmt not in ("csv", "json"):
@@ -254,8 +251,7 @@ def parse_args(argv):
 
 
 def _validate(command, params):
-    if params["dim"] > fock.MAX_DIM:
-        raise RangeError(f"--dim {params['dim']} exceeds {fock.MAX_DIM}")
+    fock._check_dim(params["dim"])
     if command == "state":
         family = params["family"]
         if family not in _STATE_BUILDERS:
@@ -269,8 +265,9 @@ def _validate(command, params):
         if family == "london" and params["alpha"] is not None and params["alpha"].imag != 0.0:
             raise UsageError("the london family takes a real --alpha")
     elif command in ("impulse", "propagate"):
-        if params["lattice"] not in _LATTICE_KINDS:
-            raise UsageError(f"lattice must be one of {sorted(_LATTICE_KINDS)}")
+        kinds = sorted(kind.value for kind in lattice.LatticeKind)
+        if params["lattice"] not in kinds:
+            raise UsageError(f"lattice must be one of {kinds}")
         if params["samples"] < 1:
             raise UsageError("samples must be positive")
     elif command == "bch-check":
@@ -374,7 +371,7 @@ def _run_state(params):
 
 
 def _run_impulse(params):
-    spec = lattice.LatticeSpec(kind=_LATTICE_KINDS[params["lattice"]], dim=params["dim"])
+    spec = lattice.LatticeSpec(kind=lattice.LatticeKind(params["lattice"]), dim=params["dim"])
     header = ["z", "guide", "re", "im", "abs2"]
     zs = lattice.sample_grid(params["zmax"], params["samples"])[1:]
     profiles = lattice.impulse_profiles(spec, zs)
@@ -383,7 +380,7 @@ def _run_impulse(params):
 
 
 def _run_propagate(params):
-    spec = lattice.LatticeSpec(kind=_LATTICE_KINDS[params["lattice"]], dim=params["dim"])
+    spec = lattice.LatticeSpec(kind=lattice.LatticeKind(params["lattice"]), dim=params["dim"])
     guide_in = params["input_waveguide"]
     if not 0 <= guide_in < spec.dim:
         raise UsageError(f"input waveguide {guide_in} outside [0, {spec.dim})")
@@ -473,17 +470,11 @@ def run(config):
 
 def main(argv=None):
     """CLI entry; returns the exit status instead of raising."""
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        config = parse_args(argv)
-    except SystemExit as exc:  # argparse usage failure
-        return 2 if exc.code not in (0, None) else 0
-    except FocklatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    try:
-        return run(config)
+        return run(parse_args(sys.argv[1:] if argv is None else argv))
+    except _HelpRequested as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except FocklatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

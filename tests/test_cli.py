@@ -46,9 +46,8 @@ def test_parse_propagate_command():
 
 
 def test_unknown_flag_is_usage_error():
-    with pytest.raises(SystemExit) as err:
+    with pytest.raises(UsageError):
         cli.parse_args(["state", "--family", "phase", "--phi", "0", "--dim", "4", "--bogus", "1"])
-    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["impulse", "propagate"])
@@ -378,7 +377,7 @@ def test_output_memory_is_the_arrays_plus_one_sample(fmt, tmp_path):
         result = cli.lattice.propagate(spec, cli.fock.basis_state(256, 0), 5.0, 400)
         cli.lattice.compare_to_oracle(result, spec)
 
-    library()  # imports and caches outside the count, the parser's too
+    library()  # imports and caches outside the count
     cli.parse_args(argv)
     assert peak_bytes(lambda: cli.main(argv)) <= peak_bytes(library) + 0.5e6
 
@@ -518,7 +517,7 @@ def test_impulse_rows_match_the_per_cell_formatter(lattice, zmax, dim, samples, 
             "--samples", str(samples), "--format", fmt]
     status, out, _ = run_cli(argv, capsys)
     assert status == 0
-    spec = cli.lattice.LatticeSpec(cli._LATTICE_KINDS[lattice], dim)
+    spec = cli.lattice.LatticeSpec(cli.lattice.LatticeKind(lattice), dim)
     zs = np.linspace(0.0, float(zmax), samples + 1)[1:]
     cells = _reference_field_cells(zs, cli.lattice.impulse_profiles(spec, zs))
     assert out == _reference_output(fmt, out, ["z", "guide", "re", "im", "abs2"], cells)
@@ -554,7 +553,7 @@ def test_propagate_rows_match_the_per_cell_formatter(lattice, zmax, dim, samples
             "--samples", str(samples), "--input-waveguide", str(guide_in), "--format", fmt]
     status, out, _ = run_cli(argv, capsys)
     assert status == 0
-    spec = cli.lattice.LatticeSpec(cli._LATTICE_KINDS[lattice], dim)
+    spec = cli.lattice.LatticeSpec(cli.lattice.LatticeKind(lattice), dim)
     result = cli.lattice.propagate(spec, cli.fock.basis_state(dim, guide_in), zmax, samples)
     cells = _reference_field_cells(result.z_grid, result.fields)
     assert out == _reference_output(fmt, out, ["z", "guide", "re", "im", "abs2"], cells)
@@ -574,7 +573,7 @@ def test_amplitude_rows_match_the_per_cell_formatter_at_extreme_magnitudes():
                      for row in _reference_field_cells(zs, fields)]
 
 
-# ---- one parser per process ----
+# ---- calls in one process ----
 
 def _fresh_process(argv):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -584,7 +583,7 @@ def _fresh_process(argv):
     return done.returncode, done.stdout, done.stderr
 
 
-def test_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+def test_calls_in_one_process_match_fresh_processes(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("family = bg\nalpha = 1+0.5i\ndim = 6\nformat = json\nnormalize = true\n")
     calls = [
@@ -629,7 +628,7 @@ def test_uniform_closed_form_at_subnormal_z_is_finite(argv, capsys):
     assert cells and all(math.isfinite(float(cell)) for cell in cells)
 
 
-@pytest.mark.parametrize("suite", ["algebra", "all"])
+@pytest.mark.parametrize("suite", ["specfun", "algebra", "states", "lattice", "all"])
 def test_negative_dimension_is_a_dimension_error(suite, capsys):
     status, out, err = run_cli(["verify", "--suite", suite, "--dim", "-1"], capsys)
     assert status == 3 and out == "" and "error:" in err
@@ -652,6 +651,75 @@ def test_negative_option_value_reads_as_its_equals_spelling(command, option, sta
 def test_option_followed_by_a_flag_still_misses_its_value(capsys):
     status, out, _ = run_cli(["state", "--family", "bg", "--alpha", "--dim", "4"], capsys)
     assert status == 2 and out == ""
+
+
+# ---- the option tables are the grammar ----
+
+@pytest.mark.parametrize("argv", [
+    # argparse expanded --alph to --alpha, but only when the value did not start with '-'
+    ["state", "--family", "bg", "--alph", "0.5", "--dim", "3"],
+    ["state", "--family", "bg", "--alph", "-0.5+1i", "--dim", "3"],
+    ["state", "--family", "phase", "--phi", "0", "--dim", "4", "extra"],
+    ["state", "--family", "phase", "--phi", "0", "--normalize", "yes", "--dim", "4"],
+    ["state", "--family", "phase", "--phi", "0", "--dim", "4", "--normalize=maybe"],
+    ["state", "--family", "phase", "--phi", "0", "--dim"],
+    ["states", "--family", "phase", "--phi", "0", "--dim", "4"],
+    [],
+])
+def test_usage_failure_prints_one_error_line(argv, capsys):
+    status, out, err = run_cli(argv, capsys)
+    assert status == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
+    with pytest.raises(UsageError):
+        cli.parse_args(argv)
+
+
+def test_boolean_flag_reads_its_value_as_the_config_file_does(tmp_path, capsys):
+    argv = ["state", "--family", "phase", "--phi", "0.3", "--dim", "8"]
+    plain, bare = run_cli(argv, capsys), run_cli(argv + ["--normalize"], capsys)
+    assert plain[0] == bare[0] == 0 and plain != bare
+    assert run_cli(argv + ["--normalize=yes"], capsys) == bare
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("normalize = true\n")
+    assert run_cli(argv + ["--config", str(cfg)], capsys) == bare
+    assert run_cli(argv + ["--config", str(cfg), "--normalize=false"], capsys) == plain
+
+
+def test_last_of_a_repeated_flag_wins():
+    params = cli.parse_args(["verify", "--suite", "all", "--dim", "4", "--dim=9", "--seed", "3",
+                             "--suite=lattice"]).params
+    assert (params["suite"], params["dim"], params["seed"]) == ("lattice", 9, 3)
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", ["state", "impulse", "propagate", "bch-check", "verify"])
+def test_help_lists_every_flag_of_the_command(command, flag, capsys):
+    status, out, err = run_cli([command, "--dim", "-1", flag], capsys)
+    assert status == 0 and err == "" and out.startswith(f"usage: focklat {command} ")
+    listed = [line.split()[0].split("[")[0] for line in out.splitlines()
+              if line.startswith("  --")]
+    table = [*cli._OPTION_TABLES[command], *cli._COMMON_OPTIONS, "config"]
+    assert listed == ["--" + name.replace("_", "-") for name in table]
+
+
+def test_program_help_names_every_command(capsys):
+    status, out, err = run_cli(["--help"], capsys)
+    assert status == 0 and err == ""
+    assert all(command in out for command in cli._OPTION_TABLES)
+
+
+@pytest.mark.parametrize("dim", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["state", "--family", "phase", "--phi", "0"],
+    ["impulse", "--lattice", "uniform", "--zmax", "1"],
+    ["propagate", "--lattice", "su11", "--zmax", "1"],
+    ["bch-check", "--xplus", "0.1", "--xzero", "1", "--xminus", "0.1"],
+    ["verify", "--suite", "specfun"],
+])
+def test_dimension_below_two_is_one_dimension_error(argv, dim, capsys):
+    # verify --suite specfun ran its checks at any --dim and exited 0
+    status, out, err = run_cli(argv + ["--dim", dim], capsys)
+    assert status == 3 and out == ""
+    assert err == f"error: truncated space needs dimension >= 2, got {dim}\n"
 
 
 # ---- overflow is checked before it is computed ----
