@@ -38,11 +38,16 @@ print(f"  field vs displaced vacuum (guides 0..{keep - 1}): "
       f"{np.abs(res_g.fields[-1][:keep] - coherent[:keep]).max():.3e}")
 
 print("== input off guide 0 ==")
-# no closed form, but the matrix exponential provides the reference
+# input at guide n has the closed form, with J_{-p} = (-1)^p J_p,
+#   G(m, n; z) = i^(m-n) [J_{m-n}(2z) + (-1)^n J_{m+n+2}(2z)]
+n, z3 = 3, 1.5
 spec3 = LatticeSpec(LatticeKind.UNIFORM, 48)
-res3 = fl.propagate(spec3, fl.basis_state(48, 3), zmax=1.5, samples=30)
-col = fl.expm(fl.build_hamiltonian(spec3), 1.5j).mat[:, 3]
-print(f"  propagated vs matrix exponential column: {np.abs(res3.fields[-1] - col).max():.3e}")
+res3 = fl.propagate(spec3, fl.basis_state(48, n), zmax=z3, samples=30)
+m = np.arange(48)
+p = m - n
+jv = fl.bessel_j_all(48 + n + 2, 2 * z3)
+col = 1j ** p * ((-1.0) ** np.minimum(p, 0) * jv[np.abs(p)] + (-1) ** n * jv[m + n + 2])
+print(f"  propagated vs closed form G(m, {n}; {z3}): {np.abs(res3.fields[-1] - col).max():.3e}")
 
 out = pathlib.Path(__file__).with_name("uniform_lattice_intensity.csv")
 with out.open("w", newline="") as fh:

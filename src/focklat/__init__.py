@@ -4,8 +4,7 @@ and classical light propagation in coupled-waveguide lattices.
 Subpackages
 -----------
 ``specfun``   Bessel J/I evaluators with certified accuracy.
-``fock``      Dense truncated-space vectors and operators, the dense
-              ``expm`` reference.
+``fock``      Truncated-space vectors and banded operators.
 ``algebra``   SU(1,1) and phase operators, reordering maps, the tridiagonal eigensolver.
 ``states``    Phase, Barut-Girardello, London and displaced-vacuum states.
 ``lattice``   Waveguide-array Hamiltonians, exact spectral propagation, closed forms.
@@ -13,7 +12,7 @@ Subpackages
 
 Importing the package does not load ``scipy.linalg``; its tridiagonal
 eigensolver (behind ``propagate``, the rotation check and the London
-ordered form) and the dense ``expm`` reference load it on first call.
+ordered form) loads it on first call.
 """
 
 from . import algebra, checks, errors, fock, lattice, specfun, states
@@ -33,7 +32,6 @@ from .fock import (
     TruncatedOperator,
     basis_state,
     commutator,
-    expm,
     identity,
     norm_sq,
     vacuum,
@@ -87,7 +85,6 @@ __all__ = [
     "deformed_annihilation",
     "eigen_residual",
     "errors",
-    "expm",
     "fock",
     "identity",
     "impulse_profile",

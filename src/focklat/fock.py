@@ -1,20 +1,22 @@
-"""Vectors and dense operators on a hard-truncated Fock space.
+"""Vectors and banded operators on a hard-truncated Fock space.
 
 States are plain complex ndarrays of length N holding the amplitudes
-c_j = <j|psi>.  Operators are dense N x N matrices wrapped together with
-``edge_band``, the number of top rows/columns that may carry truncation
-artifacts; checks can use it to stay clear of the boundary.
+c_j = <j|psi>.  Operators are banded and stored as their nonzero diagonals,
+O(N) memory each, together with ``edge_band``, the number of top
+rows/columns that may carry truncation artifacts; checks can use it to
+stay clear of the boundary.
 """
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, RangeError
+from .errors import DimensionError, RangeError
 
-# Largest dimension of any truncated space or lattice.  A dense complex
-# 4096 x 4096 matrix takes 268 MB; the ceiling is checked before anything
-# of that size is allocated.
+# Largest dimension of any truncated space or lattice.  Operators are O(N);
+# the ceiling bounds the tridiagonal eigensolver's dense N x N eigenvectors
+# (134 MB at 4096), and is checked before they are allocated.
 MAX_DIM = 4096
 
 
@@ -35,59 +37,92 @@ def _check_dim(dim):
     return int(dim)
 
 
+def _shift(d, k):
+    """e[i] = d[i + k], zero where i + k falls outside the space (|k| < len(d))."""
+    e = np.zeros_like(d)
+    n = len(d) - abs(k)
+    e[max(0, -k):][:n] = d[max(0, k):][:n]
+    return e
+
+
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Dense operator on the truncated space, immutable after construction."""
+    """Banded operator on the truncated space, immutable after construction.
 
-    mat: np.ndarray
+    ``diagonals`` maps an offset k to an array d of length ``dim`` with
+    d[i] = <i|A|i+k>; entries whose column i + k falls outside the space
+    are zeroed, and an offset that is not listed is a zero diagonal.
+    """
+
+    dim: int
+    diagonals: dict
     edge_band: int = 0
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=complex, copy=True)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"operator matrix must be square, got shape {mat.shape}")
-        if mat.shape[0] < 2:
-            raise DimensionError("operator needs dimension >= 2")
-        if not 0 <= self.edge_band <= mat.shape[0]:
-            raise DimensionError(f"edge_band {self.edge_band} outside [0, {mat.shape[0]}]")
-        mat.setflags(write=False)
-        object.__setattr__(self, "mat", mat)
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
+        dim = _check_dim(self.dim)
+        if not 0 <= self.edge_band <= dim:
+            raise DimensionError(f"edge_band {self.edge_band} outside [0, {dim}]")
+        diagonals = {}
+        for k, d in self.diagonals.items():
+            d = np.asarray(d, dtype=complex)
+            if not isinstance(k, (int, np.integer)) or not -dim < k < dim or d.shape != (dim,):
+                raise DimensionError(f"diagonal {k!r} of shape {d.shape} does not fit dim {dim}")
+            diagonals[int(k)] = _shift(_shift(d, -k), k)  # zeroes i + k outside the space
+            diagonals[int(k)].setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "diagonals", MappingProxyType(dict(sorted(diagonals.items()))))
 
     def _check_same_dim(self, other):
         if self.dim != other.dim:
             raise DimensionError(f"operator dimensions differ: {self.dim} vs {other.dim}")
 
+    def to_dense(self):
+        """The dense dim x dim matrix, for tests and demos."""
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        for k, d in self.diagonals.items():
+            mat += np.diag(d[max(0, -k):self.dim - max(0, k)], k)
+        return mat
+
     def apply(self, vec):
         """Matrix-vector product, returning a new state array."""
-        return self.mat @ _as_state(vec, self.dim)
+        v = _as_state(vec, self.dim)
+        out = np.zeros(self.dim, dtype=complex)
+        for k, d in self.diagonals.items():
+            out += d * _shift(v, k)
+        return out
 
     def adjoint(self):
-        return TruncatedOperator(self.mat.conj().T, self.edge_band)
+        return TruncatedOperator(self.dim, {-k: _shift(d, -k).conj()
+                                            for k, d in self.diagonals.items()}, self.edge_band)
 
     def __matmul__(self, other):
         self._check_same_dim(other)
-        band = min(self.dim, self.edge_band + other.edge_band)
-        return TruncatedOperator(self.mat @ other.mat, band)
+        out = {}
+        for a, da in self.diagonals.items():
+            for b, db in other.diagonals.items():
+                if abs(a + b) < self.dim:
+                    out[a + b] = out.get(a + b, 0.0) + da * _shift(db, a)
+        return TruncatedOperator(self.dim, out, min(self.dim, self.edge_band + other.edge_band))
 
     def __add__(self, other):
         self._check_same_dim(other)
-        return TruncatedOperator(self.mat + other.mat, max(self.edge_band, other.edge_band))
+        out = dict(self.diagonals)
+        for k, d in other.diagonals.items():
+            out[k] = out.get(k, 0.0) + d
+        return TruncatedOperator(self.dim, out, max(self.edge_band, other.edge_band))
 
     def __sub__(self, other):
-        self._check_same_dim(other)
-        return TruncatedOperator(self.mat - other.mat, max(self.edge_band, other.edge_band))
+        return self + -other
 
     def __mul__(self, scalar):
-        return TruncatedOperator(self.mat * complex(scalar), self.edge_band)
+        scalar = complex(scalar)
+        return TruncatedOperator(self.dim, {k: d * scalar for k, d in self.diagonals.items()},
+                                 self.edge_band)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return TruncatedOperator(-self.mat, self.edge_band)
+        return self * -1.0
 
 
 def basis_state(dim, n):
@@ -113,29 +148,10 @@ def norm_sq(vec):
 
 def identity(dim):
     dim = _check_dim(dim)
-    return TruncatedOperator(np.eye(dim, dtype=complex), edge_band=0)
+    return TruncatedOperator(dim, {0: np.ones(dim)}, edge_band=0)
 
 
 def commutator(a, b):
     """[A, B] = AB - BA; widens the edge band by one extra level."""
-    a._check_same_dim(b)
     band = min(a.dim, a.edge_band + b.edge_band + 1)
-    return TruncatedOperator(a.mat @ b.mat - b.mat @ a.mat, band)
-
-
-def expm(op, scale=1.0):
-    """Matrix exponential exp(scale * op), the tests' dense reference.
-
-    Uses scaling-and-squaring with a Pade approximant, so non-normal
-    inputs (the raising/lowering generators) are handled correctly; no
-    eigendecomposition is involved.  No library path calls it: the
-    library's exponentials are nilpotent ladder sums, diagonals, or
-    tridiagonal and real skew-symmetric ones with their own methods.
-    ``scipy.linalg`` is loaded on the first call.
-    """
-    import scipy.linalg
-
-    scale = complex(scale)
-    if not np.all(np.isfinite(op.mat.view(float))) or not np.isfinite(abs(scale)):
-        raise NumericError("operator contains non-finite entries")
-    return TruncatedOperator(scipy.linalg.expm(op.mat * scale), op.edge_band)
+    return TruncatedOperator(a.dim, (a @ b - b @ a).diagonals, band)

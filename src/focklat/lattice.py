@@ -91,10 +91,10 @@ def _couplings(spec):
     couplings the field decays super-exponentially past its light cone
     and only the last guide is flagged.
 
-    Every path that builds an N x N array (the Hamiltonian, the
-    propagator's eigenvectors) starts here, so the ``MAX_DIM`` ceiling is
-    checked here.  The closed forms need O(N) memory per sample and take
-    longer arrays.
+    Propagation starts here and its eigenvectors are the one dense N x N
+    array of a lattice (the Hamiltonian keeps its two off-diagonals), so the
+    ``MAX_DIM`` ceiling is checked here.  The closed forms need O(N) memory
+    per sample and take longer arrays.
     """
     n = spec.dim
     if n > MAX_DIM:
@@ -105,9 +105,10 @@ def _couplings(spec):
 
 
 def build_hamiltonian(spec):
-    """Dense tridiagonal coupling matrix of the array; Hermitian, zero diagonal."""
+    """Tridiagonal coupling operator of the array; Hermitian, zero diagonal."""
     g, band = _couplings(spec)
-    return TruncatedOperator(np.diag(g, 1) + np.diag(g, -1), edge_band=band)
+    return TruncatedOperator(spec.dim, {-1: np.append(0.0, g), 1: np.append(g, 0.0)},
+                             edge_band=band)
 
 
 def _quarter_turns(dim):

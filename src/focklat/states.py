@@ -256,9 +256,7 @@ def deformed_annihilation(alpha, dim):
             )
     n = np.arange(dim - 1)
     sub = alpha * jv[n + 1] / ((n + 2) * jv[n + 2]) * (n + 1)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[n, n + 1] = sub
-    return TruncatedOperator(mat, edge_band=0)
+    return TruncatedOperator(dim, {1: np.append(sub, 0.0)}, edge_band=0)
 
 
 def _su11_rows(rs, k, dim):

@@ -1,5 +1,5 @@
 """Extended-precision series oracles, independent of the library code,
-and the tests' one memory probe.
+the dense matrix exponential, and the tests' one memory probe.
 
 Both Bessel kinds are summed directly from their ascending power series
 with mpmath at a working precision padded well past the worst alternating
@@ -9,7 +9,27 @@ better than the tolerances they back.
 
 import tracemalloc
 
+import numpy as np
+import scipy.linalg
 from mpmath import mp
+
+from focklat.errors import NumericError
+
+
+def expm(op, scale=1.0):
+    """Dense matrix exponential exp(scale * op) of a banded operator, as an ndarray.
+
+    Uses scaling-and-squaring with a Pade approximant, so non-normal
+    inputs (the raising/lowering generators) are handled correctly; no
+    eigendecomposition is involved.  The library's exponentials are
+    nilpotent ladder sums, diagonals, or tridiagonal and real
+    skew-symmetric ones with their own methods; this is their reference.
+    """
+    mat = op.to_dense()
+    scale = complex(scale)
+    if not np.all(np.isfinite(mat.view(float))) or not np.isfinite(abs(scale)):
+        raise NumericError("operator contains non-finite entries")
+    return scipy.linalg.expm(mat * scale)
 
 
 def peak_bytes(call):

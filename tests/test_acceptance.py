@@ -140,8 +140,8 @@ def test_criterion_06_state_form_equivalences():
         jv = specfun.bessel_j_all(65, 2 * alpha)
         k0 = np.arange(64) + 0.5
         w = alpha * jv[(k0 + 0.5).astype(int)] / ((k0 + 1.5) * jv[(k0 + 1.5).astype(int)])
-        alt = np.diag(w) @ gen.kminus.mat
-        worst_op = max(worst_op, float(np.abs(alt - dop.mat).max()))
+        alt = np.diag(w) @ gen.kminus.to_dense()
+        worst_op = max(worst_op, float(np.abs(alt - dop.to_dense()).max()))
     ok = worst_bg <= 1e-9 and worst_lon <= 1e-9 and worst_op <= 1e-12
     assert _report(6, "state-form equivalences", ok,
                    f"bg={worst_bg:.3e}, london={worst_lon:.3e}, operator={worst_op:.3e}")

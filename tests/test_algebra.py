@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from focklat import algebra, fock
+from focklat import algebra, checks, fock
 from focklat.algebra import BCHParams, Ordering
 from focklat.errors import (
     BranchError,
@@ -14,7 +14,7 @@ from focklat.errors import (
     SingularParameterError,
 )
 
-from oracles import peak_bytes
+from oracles import expm, peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +24,11 @@ def gen64():
 
 def test_generator_matrix_elements(gen64):
     n = 64
-    assert np.allclose(np.diag(gen64.k0.mat), np.arange(n) + 0.5)
+    k0, kplus, kminus = gen64.k0.to_dense(), gen64.kplus.to_dense(), gen64.kminus.to_dense()
+    assert np.allclose(np.diag(k0), np.arange(n) + 0.5)
     for j in range(n - 1):
-        assert gen64.kplus.mat[j + 1, j] == j + 1
-        assert gen64.kminus.mat[j, j + 1] == j + 1
+        assert kplus[j + 1, j] == j + 1
+        assert kminus[j, j + 1] == j + 1
     assert gen64.bargmann_k == 0.5
 
 
@@ -40,15 +41,12 @@ def test_lowest_weight_action(gen64):
 
 
 def test_su11_commutators(gen64):
-    c1 = fock.commutator(gen64.k0, gen64.kplus)
-    keep = 64 - c1.edge_band
-    assert np.abs(c1.mat[:keep, :keep] - gen64.kplus.mat[:keep, :keep]).max() <= 1e-12
-    c2 = fock.commutator(gen64.k0, gen64.kminus)
-    keep = 64 - c2.edge_band
-    assert np.abs(c2.mat[:keep, :keep] + gen64.kminus.mat[:keep, :keep]).max() <= 1e-12
-    c3 = fock.commutator(gen64.kplus, gen64.kminus)
-    keep = 64 - c3.edge_band
-    assert np.abs(c3.mat[:keep, :keep] + 2.0 * gen64.k0.mat[:keep, :keep]).max() <= 1e-12
+    for (a, b), expected in (((gen64.k0, gen64.kplus), gen64.kplus.to_dense()),
+                             ((gen64.k0, gen64.kminus), -gen64.kminus.to_dense()),
+                             ((gen64.kplus, gen64.kminus), -2.0 * gen64.k0.to_dense())):
+        c = fock.commutator(a, b)
+        keep = 64 - c.edge_band
+        assert np.abs(c.to_dense()[:keep, :keep] - expected[:keep, :keep]).max() <= 1e-12
 
 
 def test_phase_operator_shifts():
@@ -62,9 +60,9 @@ def test_phase_operator_shifts():
 def test_phase_operator_unitarity_defect():
     n = 32
     ph = algebra.phase_operators(n)
-    right = (ph.v @ ph.vdag).mat
+    right = (ph.v @ ph.vdag).to_dense()
     assert np.array_equal(right[: n - 1, : n - 1], np.eye(n - 1, dtype=complex))
-    left = (ph.vdag @ ph.v).mat
+    left = (ph.vdag @ ph.v).to_dense()
     expected = np.eye(n, dtype=complex)
     expected[0, 0] = 0.0
     assert np.array_equal(left, expected)
@@ -75,10 +73,10 @@ def test_lowering_is_weighted_shift(gen64):
     n = 64
     ph = algebra.phase_operators(n)
     inv = np.diag(1.0 / (np.arange(n) + 1.0))
-    assert np.abs(inv @ gen64.kminus.mat - ph.v.mat).max() <= 1e-15
+    assert np.abs(inv @ gen64.kminus.to_dense() - ph.v.to_dense()).max() <= 1e-15
     a = np.diag(np.sqrt(np.arange(1.0, n)), 1)  # <m|a|n> = sqrt(n) delta_{m,n-1}
     scale = np.diag(1.0 / np.sqrt(np.arange(n) + 1.0))
-    assert np.abs(scale @ a - ph.v.mat).max() <= 1e-15
+    assert np.abs(scale @ a - ph.v.to_dense()).max() <= 1e-15
 
 
 def test_map_identity_params():
@@ -192,13 +190,13 @@ def test_verify_bch_moderate_random():
 ])
 def test_ordered_block_matches_matrix_exponentials(params, gen64):
     # verify_bch's closed-form sums against the dense exponentials they replace
-    e0 = fock.expm(gen64.k0, np.log(params.zero))
+    e0 = expm(gen64.k0, np.log(params.zero))
     if params.ordering is Ordering.NORMAL_FIRST:
-        ref = fock.expm(gen64.kplus, params.plus) @ e0 @ fock.expm(gen64.kminus, params.minus)
+        ref = expm(gen64.kplus, params.plus) @ e0 @ expm(gen64.kminus, params.minus)
     else:
-        ref = fock.expm(gen64.kminus, params.minus) @ e0 @ fock.expm(gen64.kplus, params.plus)
+        ref = expm(gen64.kminus, params.minus) @ e0 @ expm(gen64.kplus, params.plus)
     block = algebra._ordered_blocks((params,), 32, 64, algebra._pascal(64))[0]
-    assert np.abs(block - ref.mat[:32, :32]).max() <= 1e-14 * max(1.0, np.abs(block).max())
+    assert np.abs(block - ref[:32, :32]).max() <= 1e-14 * max(1.0, np.abs(block).max())
 
 
 def _criterion_3_draw(index):
@@ -261,6 +259,21 @@ def test_verify_bch_streams_the_slices_of_x():
     b = _criterion_3_draw(41)
     algebra.verify_bch(b, 64, edge_exclude=16)  # the Pascal table is cached outside the count
     assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 1.25e6
+
+
+def test_operators_and_their_checks_at_the_ceiling_take_o_n_memory():
+    # each operator is its diagonals, 64 kB apiece at this dim; dense
+    # complex matrices made the generators and phase operators peak at 1.9 GB
+    dim = fock.MAX_DIM
+
+    def build():
+        algebra.su11_generators(dim)
+        algebra.phase_operators(dim)
+        with pytest.raises(RangeError):  # verify_bch's level limit, after the operator checks
+            checks.suite_algebra(dim)
+
+    build()
+    assert peak_bytes(build) <= 4e6
 
 
 def test_verify_bch_peak_at_dim_256():
@@ -370,8 +383,8 @@ def test_rotation_sides_match_dense_exponentials(alpha, dim):
     # fault common to both sides cannot hide in the residual
     ph = algebra.phase_operators(dim)
     rot = np.exp(-0.5j * np.pi * np.arange(dim))
-    left = (rot[:, None] * fock.expm(ph.vdag + ph.v, 1j * alpha).mat) * rot.conj()[None, :]
-    right = fock.expm(ph.vdag - ph.v, alpha).mat
+    left = (rot[:, None] * expm(ph.vdag + ph.v, 1j * alpha)) * rot.conj()[None, :]
+    right = expm(ph.vdag - ph.v, alpha)
     for side, ref in ((algebra._rotated_exponential(alpha, dim), left),
                       (algebra._shift_exponential_images(alpha, dim), right)):
         assert np.all(np.abs(side - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))

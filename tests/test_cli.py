@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from focklat import cli
-from focklat.errors import UsageError
+from focklat import checks, cli
+from focklat.errors import DimensionError, RangeError, UsageError
 
 from oracles import peak_bytes
 
@@ -634,6 +634,15 @@ def test_negative_dimension_is_a_dimension_error(suite, capsys):
     assert status == 3 and out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("suite", ["specfun", "algebra", "states", "lattice", "all"])
+@pytest.mark.parametrize("dim,error", [(-5, DimensionError), (1, DimensionError),
+                                       (64.0, DimensionError), (4097, RangeError)])
+def test_run_suite_checks_its_dimension(suite, dim, error):
+    # the specfun suite ignores dim, and returned three passing results at dim -5
+    with pytest.raises(error):
+        checks.run_suite(suite, dim=dim)
+
+
 # ---- option values that start with '-' ----
 
 @pytest.mark.parametrize("command,option,status", [
@@ -735,4 +744,15 @@ def test_overflowing_z_exits_without_a_warning(argv, status, capsys):
         warnings.simplefilter("error")
         got, out, err = run_cli(argv, capsys)
     assert got == status and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overflowing_ordered_product_exits_without_a_warning(capsys):
+    # algebra._split overflowed first, and numpy warned twice on stderr
+    argv = ["bch-check", "--xplus", "0.1+0.05i", "--xzero", "1", "--xminus", "0.1",
+            "--dim", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(argv, capsys)
+    assert status == 6 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1

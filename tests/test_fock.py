@@ -2,29 +2,31 @@ import numpy as np
 import pytest
 
 from focklat import fock, specfun
-from focklat.errors import DimensionError, NumericError
+from focklat.errors import DimensionError, NumericError, RangeError
 from focklat.fock import TruncatedOperator
+
+from oracles import expm
 
 
 def _lowering(n):
     """The ladder-down operator <m|a|n> = sqrt(n) delta_{m,n-1}: a non-normal test operand."""
-    return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, n)), 1))
+    return TruncatedOperator(n, {1: np.sqrt(np.arange(1.0, n + 1))})
 
 
 def _raising(n):
     """Its adjoint; the truncated top level is annihilated, so it is marked as edge."""
-    return TruncatedOperator(np.diag(np.sqrt(np.arange(1.0, n)), -1), edge_band=1)
+    return TruncatedOperator(n, {-1: np.sqrt(np.arange(float(n)))}, edge_band=1)
 
 
 def _number(n):
     """diag(0, 1, ..., n - 1)."""
-    return TruncatedOperator(np.diag(np.arange(float(n))))
+    return TruncatedOperator(n, {0: np.arange(float(n))})
 
 
 def test_apply():
     v = np.array([0, 0, 1, 0], dtype=complex)
     assert np.allclose(fock.identity(4).apply(v), v)
-    zero = TruncatedOperator(np.zeros((4, 4)))
+    zero = TruncatedOperator(4, {})
     assert np.allclose(zero.apply(v), np.zeros(4))
     out = _lowering(4).apply(v)
     assert np.allclose(out, [0, np.sqrt(2), 0, 0])
@@ -36,7 +38,7 @@ def test_commutator_canonical():
     c = fock.commutator(a, ad)
     expected = np.eye(n, dtype=complex)
     expected[-1, -1] = -(n - 1)  # truncation artifact at the top level
-    assert np.allclose(c.mat, expected)
+    assert np.allclose(c.to_dense(), expected)
     assert c.edge_band == a.edge_band + ad.edge_band + 1
 
 
@@ -45,9 +47,9 @@ def test_commutator_number_ladder():
     num, ad = _number(n), _raising(n)
     c = fock.commutator(num, ad)
     keep = n - c.edge_band
-    assert np.allclose(c.mat[:keep, :keep], ad.mat[:keep, :keep])
+    assert np.allclose(c.to_dense()[:keep, :keep], ad.to_dense()[:keep, :keep])
     a = _lowering(n)
-    assert np.allclose(fock.commutator(a, a).mat, np.zeros((n, n)))
+    assert np.allclose(fock.commutator(a, a).to_dense(), np.zeros((n, n)))
 
 
 def test_dimension_validation():
@@ -62,37 +64,33 @@ def test_dimension_validation():
 
 
 def test_expm_trivial_cases():
-    ident = fock.expm(_number(5), 0.0)
-    assert np.allclose(ident.mat, np.eye(5))
-    d = TruncatedOperator(np.diag([0.0, 1.0, 2.0]).astype(complex))
-    e = fock.expm(d, 1.0)
-    assert np.allclose(np.diag(e.mat), [1.0, np.e, np.e**2], rtol=1e-14)
+    ident = expm(_number(5), 0.0)
+    assert np.allclose(ident, np.eye(5))
+    d = TruncatedOperator(3, {0: [0.0, 1.0, 2.0]})
+    e = expm(d, 1.0)
+    assert np.allclose(np.diag(e), [1.0, np.e, np.e**2], rtol=1e-14)
 
 
 def test_expm_rejects_nonfinite():
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = np.inf
     with pytest.raises(NumericError):
-        fock.expm(TruncatedOperator(m))
+        expm(TruncatedOperator(3, {0: [np.inf, 0.0, 0.0]}))
 
 
 def test_expm_unitary_norm_preservation():
     # exp(i z H) with Hermitian H keeps every state's norm
     n = 64
     h = _lowering(n) + _raising(n)
-    u = fock.expm(h, 1.5j)
+    u = expm(h, 1.5j)
     rng = np.random.default_rng(7)
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    assert abs(fock.norm_sq(u.apply(v)) - fock.norm_sq(v)) <= 1e-12 * fock.norm_sq(v)
+    assert abs(fock.norm_sq(u @ v) - fock.norm_sq(v)) <= 1e-12 * fock.norm_sq(v)
 
 
 def test_expm_shift_generator_column_matches_bessel_profile():
     # column 0 of exp(i z (Vdag + V)) carries (1/z) i^m (m+1) J_{m+1}(2z)
     n, z = 64, 1.0
-    v = np.zeros((n, n), dtype=complex)
-    v[np.arange(n - 1), np.arange(1, n)] = 1.0
-    op = TruncatedOperator(v + v.conj().T)
-    col = fock.expm(op, 1j * z).mat[:, 0]
+    op = TruncatedOperator(n, {-1: np.ones(n), 1: np.ones(n)})
+    col = expm(op, 1j * z)[:, 0]
     m = np.arange(n)
     jv = specfun.bessel_j_all(n, 2.0 * z)
     expected = (1j**m) * (m + 1) * jv[1:] / z
@@ -102,10 +100,68 @@ def test_expm_shift_generator_column_matches_bessel_profile():
 def test_operator_immutability_and_arithmetic():
     a = _lowering(4)
     with pytest.raises(ValueError):
-        a.mat[0, 0] = 1.0
+        a.diagonals[1][0] = 1.0
+    with pytest.raises(TypeError):
+        a.diagonals[0] = np.zeros(4)
     s = a + _raising(4)
-    assert np.allclose(s.mat, s.adjoint().mat)  # Hermitian
-    assert np.allclose((2.0 * a).mat, a.mat * 2)
-    assert np.allclose((-a).mat, -a.mat)
+    assert np.allclose(s.to_dense(), s.adjoint().to_dense())  # Hermitian
+    assert np.allclose((2.0 * a).to_dense(), a.to_dense() * 2)
+    assert np.allclose((-a).to_dense(), -a.to_dense())
     p = _raising(4) @ _lowering(4)
-    assert np.allclose(p.mat, _number(4).mat)
+    assert np.allclose(p.to_dense(), _number(4).to_dense())
+
+
+def _random_banded(rng, dim, offsets, edge_band):
+    """A random operator on ``offsets`` and its dense matrix, built by np.diag."""
+    diagonals = {k: rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                 for k in offsets if abs(k) < dim}
+    dense = np.zeros((dim, dim), dtype=complex)
+    for k, d in diagonals.items():
+        dense += np.diag(d[max(0, -k):dim - max(0, k)], k)
+    return TruncatedOperator(dim, diagonals, edge_band), dense
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 65])
+def test_banded_operations_match_dense(dim):
+    rng = np.random.default_rng(dim)
+    a, da = _random_banded(rng, dim, range(-2, 3), 1)
+    b, db = _random_banded(rng, dim, (-2, 1), 0)
+    c, dc = _random_banded(rng, dim, (2,), 2)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    for op, dense in ((a, da), (b, db), (c, dc)):
+        assert np.array_equal(op.to_dense(), dense)
+        assert np.allclose(op.apply(v), dense @ v, rtol=0, atol=1e-13)
+        assert np.array_equal(op.adjoint().to_dense(), dense.conj().T)
+        assert np.array_equal((-op).to_dense(), -dense)
+        assert np.array_equal(((0.5 - 2j) * op).to_dense(), dense * (0.5 - 2j))
+        for other, dother in ((a, da), (b, db), (c, dc)):
+            assert np.array_equal((op + other).to_dense(), dense + dother)
+            assert np.array_equal((op - other).to_dense(), dense - dother)
+            assert np.allclose((op @ other).to_dense(), dense @ dother, rtol=0, atol=1e-13)
+            assert np.allclose(fock.commutator(op, other).to_dense(),
+                               dense @ dother - dother @ dense, rtol=0, atol=1e-13)
+    assert (a @ c).edge_band == min(dim, 3)
+    assert fock.commutator(a, c).edge_band == min(dim, 4)
+    assert (b - c).edge_band == 2
+
+
+def test_constructor_zeroes_entries_outside_the_space():
+    op = TruncatedOperator(3, {1: [1.0, 2.0, 3.0], -2: [4.0, 5.0, 6.0]})
+    assert np.array_equal(op.diagonals[1], [1.0, 2.0, 0.0])
+    assert np.array_equal(op.diagonals[-2], [0.0, 0.0, 6.0])
+    assert np.array_equal(op.to_dense(), [[0, 1, 0], [0, 0, 2], [6, 0, 0]])
+
+
+@pytest.mark.parametrize("dim,diagonals,edge_band,error", [
+    (4, {3: np.ones(4), 4: np.ones(4)}, 0, DimensionError),  # offset past the space
+    (4, {-4: np.ones(4)}, 0, DimensionError),
+    (4, {0.5: np.ones(4)}, 0, DimensionError),
+    (4, {0: np.ones(4), "1": np.ones(4)}, 0, DimensionError),
+    (4, {0: np.ones(3)}, 0, DimensionError),  # diagonal of the wrong length
+    (4, {0: np.ones(4)}, 5, DimensionError),
+    (1, {0: np.ones(1)}, 0, DimensionError),
+    (fock.MAX_DIM + 1, {}, 0, RangeError),
+])
+def test_constructor_validation(dim, diagonals, edge_band, error):
+    with pytest.raises(error):
+        TruncatedOperator(dim, diagonals, edge_band)

@@ -1,11 +1,11 @@
 """Cold start: the ladder, state and closed-form paths never load scipy.linalg.
 
 ``import scipy.linalg`` costs about as much as the rest of the package's
-import, and every CLI command is a fresh process, so only the functions
-that use it import it: ``algebra._half_spectrum``, the one tridiagonal
-eigensolver (behind ``lattice.propagate``, the rotation check and
-``states.london_state_ordered``), and ``fock.expm``, the tests' dense
-reference, which no library path calls.
+import, and every CLI command is a fresh process, so the one library
+function that uses it imports it: ``algebra._half_spectrum``, the
+tridiagonal eigensolver (behind ``lattice.propagate``, the rotation check
+and ``states.london_state_ordered``).  The dense ``expm`` is the tests'
+reference in ``tests/oracles.py``, which no library path calls.
 """
 
 import os
@@ -61,22 +61,29 @@ for argv in (["state", "--family", "bg", "--alpha", "1+0.5i", "--dim", "32"],
 unloaded("the CLI state, impulse and bch-check commands")
 
 gen = algebra.su11_generators(8)
-assert (fock.expm(gen.kminus, 0.5).apply(fock.vacuum(8)) == fock.vacuum(8)).all()
+assert (fock.commutator(gen.kminus, gen.kplus).apply(fock.vacuum(8)) == fock.vacuum(8)).all()
+unloaded("the banded operators")
+
 spec = LatticeSpec(LatticeKind.UNIFORM, 32)
 assert lattice.compare_to_oracle(lattice.propagate(spec, fock.vacuum(32), 1.0), spec) <= 1e-8
 assert "scipy.linalg" in sys.modules
+
+from oracles import expm
+
+assert (expm(gen.kminus, 0.5) @ fock.vacuum(8) == fock.vacuum(8)).all()
 """
 
 
 def test_scipy_linalg_is_loaded_only_where_it_is_used():
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 
 def test_no_library_path_calls_dense_expm(monkeypatch):
-    # fock.expm, the tests' reference, is the one caller of scipy.linalg.expm
+    # oracles.expm, the tests' reference, is the one caller of scipy.linalg.expm
     def refuse(*args, **kwargs):
         raise AssertionError("a library path called scipy.linalg.expm")
 
