@@ -77,6 +77,19 @@ def _miller_j(tops, xs):
     return out
 
 
+def _j_ratios(count, x):
+    """rho_n = J_{n+1}(x) / J_{n+2}(x) for n < count and x != 0, by the downward
+    recurrence rho_n = 2(n+2)/x - 1/rho_{n+1} from J_{s+3} = 0 at the Miller start
+    s; the ratios carry no normalisation, so none underflows at high order."""
+    rho, inv = np.empty(count), 0.0  # inv = 1 / rho_{n+1}
+    for n in range(_start_order(count, x), -1, -1):
+        r = 2.0 * (n + 2) / x - inv
+        if n < count:
+            rho[n] = r
+        inv = 1.0 / r if r else math.inf  # x on a root of J_{n+1}: rho_{n-1} is infinite
+    return rho
+
+
 def _leading_term_j(m_max, xs):
     """(x/2)^m / m! for m = 0..m_max at every x of ``xs`` (all small and nonzero)."""
     out = np.ones((len(xs), m_max + 1))

@@ -36,8 +36,8 @@ from .fock import TruncatedOperator, _check_dim
 
 MAX_ALPHA = 20.0  # keeps Bessel arguments 2|alpha| inside the table range
 
-# deformed_annihilation's lowering operator is singular where some
-# |J_{n+2}(2 alpha)| is at most this fraction of its neighbouring orders
+# deformed_annihilation's operator is singular where |J_{n+2}(2 alpha)| is at most this
+# fraction of a neighbouring order: |J_{n+1} / J_{n+2}| >= 1/_ROOT_TOL or |J_{n+2} / J_{n+3}| <= it
 _ROOT_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
@@ -236,27 +236,26 @@ def london_state_ordered(alpha, dim):
 def deformed_annihilation(alpha, dim):
     """Lowering operator whose eigenstate is :func:`london_state`,
 
-        <n|C|n+1> = alpha J_{n+1}(2 alpha) / ((n+2) J_{n+2}(2 alpha)) * (n+1).
+        <n|C|n+1> = alpha rho_n (n+1) / (n+2),   rho_n = J_{n+1}(2 alpha) / J_{n+2}(2 alpha),
 
-    Raises :class:`BesselRootError` when some J_{n+2}(2 alpha) sits on a
-    root, within ``_ROOT_TOL`` of its neighbouring orders: the ratio test
-    compares it against them, so the benign super-exponential decay of
-    high orders at small argument does not trip the guard.
+    from one downward ratio recurrence (:func:`specfun._j_ratios`), accurate at every level
+    (the entries tend to n + 1).  Raises :class:`BesselRootError` at the first n < dim - 1
+    whose J_{n+2}(2 alpha) is within ``_ROOT_TOL`` of a neighbouring order (n = 0 at
+    alpha = 0); measured against its neighbours, the benign decay of high orders passes.
     """
     dim = _check_dim(dim)
     alpha = _real_alpha(alpha, "deformed_annihilation")
-    jv = specfun.bessel_j_all(dim + 1, 2.0 * alpha) if alpha != 0.0 else np.zeros(dim + 2)
-    for n in range(dim - 1):
-        neighbour = max(abs(jv[n + 1]), abs(jv[n + 3])) if n + 3 <= dim + 1 else abs(jv[n + 1])
-        if abs(jv[n + 2]) <= _ROOT_TOL * neighbour:
-            raise BesselRootError(
-                f"2*alpha = {2 * alpha} is too close to a root of J_{n + 2}; "
-                f"the deformed lowering operator is singular at level n = {n}",
-                level=n,
-            )
-    n = np.arange(dim - 1)
-    sub = alpha * jv[n + 1] / ((n + 2) * jv[n + 2]) * (n + 1)
-    return TruncatedOperator(dim, {1: np.append(sub, 0.0)}, edge_band=0)
+    # every J_{n+2}(0) is 0, and the recurrence divides by 2 alpha
+    rho = specfun._j_ratios(dim, 2.0 * alpha) if alpha != 0.0 else np.full(dim, np.inf)
+    roots = np.flatnonzero((np.abs(rho[:-1]) >= 1.0 / _ROOT_TOL) | (np.abs(rho[1:]) <= _ROOT_TOL))
+    if roots.size:
+        n = int(roots[0])
+        raise BesselRootError(
+            f"2*alpha = {2 * alpha} is too close to a root of J_{n + 2}; "
+            f"the deformed lowering operator is singular at level n = {n}",
+            level=n,
+        )
+    return TruncatedOperator(dim, {1: alpha * rho / np.arange(2, dim + 2) * np.arange(1, dim + 1)})
 
 
 def _su11_rows(rs, k, dim):

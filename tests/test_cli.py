@@ -643,6 +643,30 @@ def test_run_suite_checks_its_dimension(suite, dim, error):
         checks.run_suite(suite, dim=dim)
 
 
+_SWEEP_DIMS = (2, 3, 8, 64, 65, 256, 1024)
+
+
+# algebra stops at 256: a dim-700 run takes 10 s, and past 700 its random
+# reordering draws miss their tolerance
+@pytest.mark.parametrize("suite,dim", [(s, d) for s in ("specfun", "states", "lattice")
+                                       for d in _SWEEP_DIMS]
+                         + [("states", 4096)]
+                         + [("algebra", d) for d in _SWEEP_DIMS if d <= 256])
+def test_every_suite_over_dimensions(suite, dim, capsys):
+    # each run exits 0 or with its documented code, and warns about nothing:
+    # light reaches the edge of a uniform array of fewer than 12 guides (5), and
+    # two levels leave algebra no level clear of the truncation edge (3)
+    expected = {("lattice", 2): 5, ("lattice", 3): 5, ("lattice", 8): 5, ("algebra", 2): 3}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        status, out, err = run_cli(["verify", "--suite", suite, "--dim", str(dim)], capsys)
+    assert status == expected.get((suite, dim), 0), err
+    if status == 0:
+        assert "# checks_failed = 0" in out
+    else:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 # ---- option values that start with '-' ----
 
 @pytest.mark.parametrize("command,option,status", [

@@ -138,6 +138,23 @@ def test_edge_leakage_guard_past_the_first_block():
                                "increase the number of guides (dim = 8)")
 
 
+def test_edge_leakage_keeps_the_input_sample():
+    # z = 0 is in both running maxima: light put in at the edge guide is the
+    # largest leakage of a short run, and over the limit it is reported at
+    # the first propagated sample
+    spec = LatticeSpec(LatticeKind.UNIFORM, 64)
+    field0 = fock.vacuum(64)
+    field0[-1] = 1e-5
+    res = lattice.propagate(spec, field0, zmax=0.5, samples=100)
+    fields, drift, edge = _one_block(spec, field0, 0.5, 100)
+    assert res.edge_leakage == edge[-1] == abs(field0[-1]) ** 2
+    assert res.norm_drift == drift
+    with pytest.raises(TruncationOverflowError) as info:
+        lattice.propagate(spec, fock.basis_state(64, 63), zmax=1.0, samples=200)
+    assert str(info.value) == ("edge leakage 1.000e+00 exceeds 1.0e-08 at z = 0.005; "
+                               "increase the number of guides (dim = 64)")
+
+
 def test_propagate_holds_the_fields_and_one_block():
     # the fields are 1.29 MB; with all 200 samples in one block the peak was 3.30 MB
     spec = LatticeSpec(LatticeKind.SU11, 400)

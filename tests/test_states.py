@@ -265,6 +265,49 @@ def test_deformed_annihilation_root_guard():
     states.deformed_annihilation(root / 2.0 + 0.05, 16)  # nearby but clear
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0, 10.0])
+def test_deformed_annihilation_at_dim_1024(alpha):
+    # J_{n+2}(2 alpha) underflows long before n = 1022, but the ratios do not,
+    # so no false root is raised and every entry keeps its digits
+    dim = 1024
+    op = states.deformed_annihilation(alpha, dim)
+    entries = op.diagonals[1].real
+    with mp.workdps(50):
+        for n in (0, 203, 500, 1022):
+            ref = (mp.mpf(alpha) * (n + 1) * mp.besselj(n + 1, 2 * alpha)
+                   / ((n + 2) * mp.besselj(n + 2, 2 * alpha)))
+            # below the turning point n + 2 = 2 alpha the last steps cancel:
+            # rho_0 = 0.4 - 1/rho_1 = 0.171 at alpha = 5, where J_1(10) nears its root
+            tol = 1e-15 if n + 2 > 2 * alpha else 4e-15
+            assert abs(float((entries[n] - ref) / ref)) <= tol, n
+    assert states.eigen_residual(op, states.london_state(alpha, dim), alpha, exclude_top=1) <= 1e-8
+
+
+def test_deformed_annihilation_root_guard_at_a_higher_level():
+    # first root of J_5: J_{n+2} vanishes at n = 3, and levels 0-2 are clear
+    root = float(bisect_j_root(5, 8.7, 8.8))
+    assert root == pytest.approx(8.771483815959954, abs=1e-12)
+    with pytest.raises(BesselRootError) as err:
+        states.deformed_annihilation(root / 2.0, 16)
+    assert err.value.level == 3
+    assert "root of J_5;" in str(err.value)
+
+
+@pytest.mark.parametrize("alpha,level",
+                         [(0.0, 0), (1e-12, 0), (-1e-12, 0), (1e-9, 8), (1e-6, None)])
+def test_deformed_annihilation_small_alpha(alpha, level):
+    # J_{n+2} / J_{n+1} = alpha / (n + 2) at small alpha: the guard trips
+    # where that falls to _ROOT_TOL, and at alpha = 0 every J_{n+2} is 0
+    if level is None:
+        states.deformed_annihilation(alpha, 1024)
+        return
+    with pytest.raises(BesselRootError) as err:
+        states.deformed_annihilation(alpha, 1024)
+    assert err.value.level == level
+    assert str(err.value) == (f"2*alpha = {2 * alpha} is too close to a root of J_{level + 2}; "
+                              f"the deformed lowering operator is singular at level n = {level}")
+
+
 def test_su11_perelomov_state():
     assert np.array_equal(states.su11_perelomov_state(0.0, 0.5, 8), fock.vacuum(8))
     z = 0.8
