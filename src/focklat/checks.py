@@ -166,6 +166,7 @@ def suite_lattice(dim=64, seed=12345):
     res = lattice.propagate(uni, fock.vacuum(dim), zmax=2.0, samples=100)
     out.append(CheckResult("uniform-impulse", lattice.compare_to_oracle(res, uni), 1e-8))
     out.append(CheckResult("uniform-norm-drift", res.norm_drift, 1e-10))
+    del res  # one propagation alive at a time
 
     su = lattice.LatticeSpec(lattice.LatticeKind.SU11, 200)
     res = lattice.propagate(su, fock.vacuum(200), zmax=1.0, samples=100)

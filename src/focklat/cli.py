@@ -43,7 +43,7 @@ import numpy as np
 from . import algebra, checks, fock, lattice, states
 from .errors import FocklatError, NumericError, UsageError
 
-# name -> (converter, default, required); converters run on config values too
+# name -> (converter, default, required[, help text]); converters run on config values too
 _COMMON_OPTIONS = {
     "format": (str, "csv", False),
     "output": (str, None, False),
@@ -137,7 +137,9 @@ _OPTION_TABLES = {
     },
     "verify": {
         "suite": (str, None, True),
-        "dim": (int, 64, False),
+        "dim": (int, 64, False, "specfun ignores it; states uses it except for the displaced-vacuum\n"
+                "check (128 levels); lattice uses it for the uniform array (SU(1,1) stays at\n"
+                "200 guides); algebra uses it for every check"),
         "seed": (int, 12345, False),
     },
 }
@@ -179,10 +181,11 @@ def _flag(name):
 def _usage(command, table):
     """The ``--help`` text of ``command``, whose flags are ``table``."""
     lines = [f"usage: focklat {command} [--name value | --name=value ...]"]
-    for name, (conv, default, required) in table.items():
+    for name, (conv, default, required, *about) in table.items():
         spelling = _flag(name) + ("[=true|false]" if conv is _parse_bool else " VALUE")
         note = "required" if required else "" if default is None else f"default {default}"
         lines.append(f"  {spelling:<26}{note}".rstrip())
+        lines += ["      " + line for line in "".join(about).splitlines()]
     return "\n".join([*lines, "  -h, --help", ""])
 
 
@@ -231,7 +234,7 @@ def parse_args(argv):
 
     given = {**file_values, **flags}
     params = {}
-    for name, (conv, default, required) in tables.items():
+    for name, (conv, default, required, *_) in tables.items():
         if name not in given:
             if required:
                 raise UsageError(f"missing required parameter {_flag(name)}")

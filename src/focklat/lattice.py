@@ -49,7 +49,7 @@ from .fock import MAX_DIM, TruncatedOperator
 LEAKAGE_LIMIT = 1e-8
 
 # propagate computes its products, norms and edge leakage this many samples
-# at a time, so its working memory is the fields plus a fixed block
+# at a time, so its working memory is the fields plus one block's temporaries
 _BLOCK = 64
 
 
@@ -146,8 +146,8 @@ def propagate(spec, input_field, zmax, samples=200):
         E(z)[even] = Ue (cos(theta) a + i sin(theta) b),
         E(z)[odd]  = Uo (i sin(theta) a + cos(theta) b),
 
-    four real products of half the size, taken ``_BLOCK`` samples at a time
-    so that the working memory is the fields plus one block.  For a real
+    four real products of half the size, taken ``_BLOCK`` samples at a time.
+    It holds the fields, Ue, Uo and one block's temporaries.  For a real
     input at one guide, a or b is 0: its terms are left out, which halves
     the products, and a component that is exactly zero in the closed forms
     (E_m is i^m times a real number) stays 0 instead of carrying about
@@ -214,11 +214,15 @@ def propagate(spec, input_field, zmax, samples=200):
         for out, u, x, y in products:
             mixed = _mix(cos, x, sin, y)
             out[rows] = 0.0 if mixed is None else mixed @ u.T
+        del theta, cos, sin, mixed
         block = fields[rows]
         block += 0.0  # turns signed zeros into 0.0, as the closed forms print them
         if not np.all(np.isfinite(block.view(float))):
             raise NumericError("propagation produced non-finite amplitudes")
-        drift = max(drift, np.abs(np.sum(np.abs(block) ** 2, axis=1) - norm0).max())
+        power = np.abs(block)
+        power *= power  # |E|^2 in place; x ** 2 is x * x
+        drift = max(drift, np.abs(np.sum(power, axis=1) - norm0).max())
+        del power
         edge = np.maximum(np.abs(block[:, -1]) ** 2, leak)
         over = np.flatnonzero(edge > LEAKAGE_LIMIT)
         if over.size:  # the first sample past the limit; its running max is edge[over[0]]

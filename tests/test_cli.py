@@ -643,6 +643,13 @@ def test_run_suite_checks_its_dimension(suite, dim, error):
         checks.run_suite(suite, dim=dim)
 
 
+def test_lattice_suite_holds_one_propagation():
+    # 0.965 MB when the uniform propagation stayed alive through the SU(1,1)
+    # one and each block's temporaries through its checks
+    checks.suite_lattice(64)  # imports and caches outside the count
+    assert peak_bytes(lambda: checks.suite_lattice(64)) <= 0.8e6
+
+
 _SWEEP_DIMS = (2, 3, 8, 64, 65, 256, 1024)
 
 
@@ -738,6 +745,14 @@ def test_program_help_names_every_command(capsys):
     status, out, err = run_cli(["--help"], capsys)
     assert status == 0 and err == ""
     assert all(command in out for command in cli._OPTION_TABLES)
+
+
+def test_verify_help_says_what_dim_means_for_every_suite(capsys):
+    status, out, err = run_cli(["verify", "--help"], capsys)
+    assert status == 0 and err == ""
+    about = out.split("--dim VALUE", 1)[1].split("  --seed", 1)[0]
+    assert all(suite in about for suite in checks.SUITES)
+    assert "128 levels" in about and "200 guides" in about
 
 
 @pytest.mark.parametrize("dim", ["0", "1"])

@@ -162,6 +162,75 @@ def test_propagate_holds_the_fields_and_one_block():
     assert peak_bytes(lambda: lattice.propagate(spec, fock.vacuum(400), 2.0, samples=200)) <= 2.75e6
 
 
+def _blocked_reference(spec, field0, zmax, samples):
+    """propagate's block loop as it was before it released each block's
+    temporaries and squared |E| in place: fields, norm drift, edge leakage.
+    """
+    z_grid = lattice.sample_grid(zmax, samples)
+    ue, uo, rate, weight = _half_spectrum(lattice._couplings(spec)[0])
+    norm0 = float(np.vdot(field0, field0).real)
+    even, odd = field0[0::2], field0[1::2]
+    a_re, a_im = weight * (even.real @ ue), weight * (even.imag @ ue)
+    b_re, b_im = weight * (odd.real @ uo), weight * (odd.imag @ uo)
+    fields = np.empty((samples + 1, spec.dim), dtype=complex)
+    fields[0] = field0
+    products = [(fields[:, 0::2].real, ue, a_re, -b_im), (fields[:, 0::2].imag, ue, a_im, b_re),
+                (fields[:, 1::2].real, uo, b_re, -a_im), (fields[:, 1::2].imag, uo, b_im, a_re)]
+    drift = abs(np.sum(np.abs(field0) ** 2) - norm0)
+    leak = np.abs(field0[-1]) ** 2
+    for lo in range(1, samples + 1, lattice._BLOCK):
+        rows = slice(lo, lo + lattice._BLOCK)
+        theta = np.outer(z_grid[rows], rate)
+        cos = np.cos(theta)
+        sin = np.sin(theta, out=theta)
+        for out, u, x, y in products:
+            mixed = lattice._mix(cos, x, sin, y)
+            out[rows] = 0.0 if mixed is None else mixed @ u.T
+        block = fields[rows]
+        block += 0.0
+        drift = max(drift, np.abs(np.sum(np.abs(block) ** 2, axis=1) - norm0).max())
+        edge = np.maximum(np.abs(block[:, -1]) ** 2, leak)
+        over = np.flatnonzero(edge > lattice.LEAKAGE_LIMIT)
+        if over.size:
+            raise TruncationOverflowError(
+                f"edge leakage {edge[over[0]]:.3e} exceeds {lattice.LEAKAGE_LIMIT:.1e} at "
+                f"z = {z_grid[lo + over[0]]:.6g}; increase the number of guides (dim = {spec.dim})")
+        leak = edge.max()
+    return fields, float(drift), float(leak)
+
+
+def _two_guides(dim, first):
+    field0 = np.zeros(dim, dtype=complex)
+    field0[first:first + 2] = [0.6 - 0.2j, -0.3 + 0.5j]
+    return field0
+
+
+@pytest.mark.parametrize("kind,dim,zmax", [
+    (LatticeKind.SU11, 200, 1.0), (LatticeKind.SU11, 400, 2.0), (LatticeKind.SU11, 401, 2.0),
+    (LatticeKind.UNIFORM, 64, 5.0), (LatticeKind.UNIFORM, 65, 5.0), (LatticeKind.UNIFORM, 256, 5.0),
+])
+def test_propagate_is_bitwise_the_reference_block_loop(kind, dim, zmax):
+    spec = LatticeSpec(kind, dim)
+    for field0 in (fock.vacuum(dim), _two_guides(dim, 0)):
+        for samples in (1, 100, 200):
+            res = lattice.propagate(spec, field0, zmax, samples)
+            fields, drift, leak = _blocked_reference(spec, field0, zmax, samples)
+            assert res.fields.tobytes() == fields.tobytes(), samples
+            assert (res.norm_drift, res.edge_leakage) == (drift, leak), samples
+
+
+def test_propagate_overflows_as_the_reference_block_loop():
+    # light put in at guides 3 and 4 of 400 SU(1,1) guides reaches the edge before z = 2
+    spec = LatticeSpec(LatticeKind.SU11, 400)
+    field0 = _two_guides(400, 3)
+    with pytest.raises(TruncationOverflowError) as expected:
+        _blocked_reference(spec, field0, 2.0, 200)
+    with pytest.raises(TruncationOverflowError) as info:
+        lattice.propagate(spec, field0, zmax=2.0, samples=200)
+    assert str(info.value) == str(expected.value)
+    assert " at z = 1." in str(info.value)
+
+
 def test_uniform_guide0_amplitude():
     spec = LatticeSpec(LatticeKind.UNIFORM, 64)
     res = lattice.propagate(spec, fock.vacuum(64), zmax=1.0, samples=50)
