@@ -29,7 +29,7 @@ print(f"  K-|0> = 0 exactly, so exp(xi K-)|0> = |0>: {not lowered.any()}")
 
 # eigenstate of the exponential phase (down-shift) operator
 ph = fl.phase_operators(dim)
-res = fl.eigen_residual(ph.v, direct, np.exp(1j * phi), exclude_top=1)
+res = fl.eigen_residual(ph.v, direct, np.exp(1j * phi))
 print(f"  V|phi> = e^(i phi)|phi> residual (top level excluded): {res:.3e}")
 
 # the defect sits entirely at the truncation boundary

@@ -78,10 +78,11 @@ _MAX_LEVELS = 1024
 
 @dataclass(frozen=True)
 class Su11Generators:
+    """K0, K+ and K- at Bargmann index ½ (:func:`su11_generators`)."""
+
     k0: TruncatedOperator
     kplus: TruncatedOperator
     kminus: TruncatedOperator
-    bargmann_k: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -589,13 +590,10 @@ def verify_bch(params, dim, edge_exclude=None):
     b = math.ceil(dim / 4) if edge_exclude is None else int(edge_exclude)
     if not 0 <= b < dim:
         raise DimensionError(f"edge exclusion {b} outside [0, {dim})")
-    _check_finite(params)
-    if params.ordering is Ordering.NORMAL_FIRST:
+    if params.ordering is Ordering.NORMAL_FIRST:  # each map checks its input is finite
         a_side, b_side = params, bch_normal_to_antinormal(params)
     else:
         a_side, b_side = bch_antinormal_to_normal(params), params
-    _check_finite(a_side)
-    _check_finite(b_side)
     keep = dim - b
     levels = dim + _default_guard(b_side, dim, keep)  # at most _MAX_LEVELS
     binom = _pascal(max(64, 1 << (levels - 1).bit_length()))
@@ -758,14 +756,15 @@ def rotation_conjugation_check(alpha, dim):
     DimensionError
         For a dim that is not an integer >= 2.
     RangeError
-        For a dimension above ``fock.MAX_DIM``, a non-finite alpha, or
+        For a dimension above ``fock.MAX_DIM``, a complex or non-finite alpha, or
         |alpha| > 25, which keeps the Bessel argument 2 alpha inside
         ``specfun``'s range.
     """
     dim = fock._check_dim(dim)
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise RangeError(f"alpha must be finite, got {alpha}")
+    alpha = complex(alpha)
+    if alpha.imag != 0.0 or not math.isfinite(alpha.real):
+        raise RangeError(f"alpha must be real and finite, got {alpha}")
+    alpha = alpha.real
     if abs(alpha) > 0.5 * specfun.MAX_ARGUMENT:
         raise RangeError(f"|alpha| = {abs(alpha)} exceeds {0.5 * specfun.MAX_ARGUMENT} "
                          "for the Bessel image sum")

@@ -3,9 +3,9 @@
 Each check recomputes one of the library's defining identities and
 reports the measured residual against its pinned tolerance.  Residuals
 are deterministic for a fixed seed, so two runs of the same suite emit
-identical reports.  ``dim`` (``verify --dim``) sizes every ``algebra``
-check, every ``states`` one but the displaced vacuum (128 levels) and the
-uniform ``lattice`` (the SU(1,1) one has 200 guides); ``specfun`` ignores it.
+identical reports.  ``dim`` (``verify --dim``) sizes every ``algebra`` and
+``states`` check and the uniform ``lattice`` (the SU(1,1) one has 200
+guides); ``specfun`` ignores it.
 """
 
 import math
@@ -37,6 +37,18 @@ def _entrywise(a, b, keep):
                for k, d in (a - b).diagonals.items()), default=0.0)
 
 
+def reordering_check(params, dim, edge_exclude=None):
+    """``(converted, round_trip, identity)`` at one parameter set: the parameters in the
+    other ordering, the largest deviation of the map there and back, and the residual of
+    :func:`algebra.verify_bch`."""
+    maps = (algebra.bch_antinormal_to_normal, algebra.bch_normal_to_antinormal)
+    there, back = maps if params.ordering is Ordering.ANTINORMAL_FIRST else maps[::-1]
+    converted = there(params)
+    again = back(converted)
+    round_trip = max(abs(getattr(again, f) - getattr(params, f)) for f in ("plus", "zero", "minus"))
+    return converted, round_trip, algebra.verify_bch(params, dim, edge_exclude=edge_exclude)
+
+
 def suite_specfun(dim=64, seed=12345):
     out = []
 
@@ -52,12 +64,10 @@ def suite_specfun(dim=64, seed=12345):
         worst = max(worst, abs(jv[0] + 2.0 * jv[2::2].sum() - 1.0))
     out.append(CheckResult("bessel-even-sum", worst, 1e-10))
 
-    # each row keeps its own top order: a common one would move the rows'
-    # Miller start orders, and with them the residual
     zs = np.linspace(0.25, 10.0, 20)
     mtops = np.ceil(4 * zs).astype(int) + 60
     worst = 0.0
-    for z, mtop, jv in zip(zs, mtops, specfun.bessel_j_rows(mtops + 1, 2.0 * zs)):
+    for z, mtop, jv in zip(zs, mtops, specfun.bessel_j_rows(int(mtops.max()) + 1, 2.0 * zs)):
         m = np.arange(mtop + 1)
         total = np.sum(((m + 1) * jv[1:mtop + 2] / z) ** 2)
         worst = max(worst, abs(total - 1.0))
@@ -101,11 +111,9 @@ def suite_algebra(dim=64, seed=12345):
             minus=0.15 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()),
             ordering=Ordering.ANTINORMAL_FIRST,
         )
-        a = algebra.bch_antinormal_to_normal(b)
-        b2 = algebra.bch_normal_to_antinormal(a)
-        worst_rt = max(worst_rt, abs(b2.plus - b.plus), abs(b2.zero - b.zero),
-                       abs(b2.minus - b.minus))
-        worst_id = max(worst_id, algebra.verify_bch(b, dim))
+        _, round_trip, identity = reordering_check(b, dim)
+        worst_rt = max(worst_rt, round_trip)
+        worst_id = max(worst_id, identity)
     out.append(CheckResult("bch-round-trip", worst_rt, 1e-13))
     out.append(CheckResult("bch-identity-random", worst_id, 1e-9))
 
@@ -128,7 +136,7 @@ def suite_states(dim=64, seed=12345):
     out.append(CheckResult("phase-state-forms", float(np.abs(direct - ordered).max()), 1e-8))
     ph = algebra.phase_operators(dim)
     out.append(CheckResult("phase-state-eigenvalue",
-                           states.eigen_residual(ph.v, direct, np.exp(1j * phi), exclude_top=1),
+                           states.eigen_residual(ph.v, direct, np.exp(1j * phi)),
                            1e-12))
 
     alpha = 1.5
@@ -137,7 +145,7 @@ def suite_states(dim=64, seed=12345):
                            float(np.abs(bg - states.bg_state_ordered(alpha, dim)).max()), 1e-9))
     gen = algebra.su11_generators(dim)
     out.append(CheckResult("bg-state-eigenvalue",
-                           states.eigen_residual(gen.kminus, bg, alpha, exclude_top=1), 1e-10))
+                           states.eigen_residual(gen.kminus, bg, alpha), 1e-10))
 
     alpha = 2.0
     lon = states.london_state(alpha, dim)
@@ -146,16 +154,17 @@ def suite_states(dim=64, seed=12345):
                            1e-9))
     dop = states.deformed_annihilation(alpha, dim)
     out.append(CheckResult("london-state-eigenvalue",
-                           states.eigen_residual(dop, lon, alpha, exclude_top=1), 1e-8))
+                           states.eigen_residual(dop, lon, alpha), 1e-8))
 
     # the same operator through (K0, K-), f(K0) K- with f = alpha rho_{K0-1/2} / (K0 + 3/2)
     f = alpha * specfun._j_ratios(dim, 2.0 * alpha) / (np.arange(dim) + 2.0)
     alt = fock.TruncatedOperator(dim, {0: f}) @ gen.kminus
     out.append(CheckResult("deformed-operator-forms", _entrywise(alt, dop, dim), 1e-12))
 
-    pere = states.su11_perelomov_state(1.0 + 1.0j, 0.5, 128)
+    # at k = 1/2 the squared amplitudes sech^2 r tanh^{2m} r sum to 1 - tanh^{2 dim} r, r = |alpha|
+    norm_sq = fock.norm_sq(states.su11_perelomov_state(1.0 + 1.0j, 0.5, dim))
     out.append(CheckResult("displaced-vacuum-normalisation",
-                           abs(fock.norm_sq(pere) - 1.0), 1e-10))
+                           abs(norm_sq - (1.0 - math.tanh(abs(1.0 + 1.0j)) ** (2 * dim))), 1e-10))
     return out
 
 
@@ -191,6 +200,8 @@ SUITES = {
 def run_suite(name, dim=64, seed=12345):
     """Run one named suite (or ``all``) and return its check results."""
     dim = fock._check_dim(dim)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise RangeError(f"seed must be a non-negative integer, got {seed!r}")
     if name == "all":
         return [result for suite in SUITES.values() for result in suite(dim=dim, seed=seed)]
     if name not in SUITES:

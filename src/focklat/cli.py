@@ -137,9 +137,8 @@ _OPTION_TABLES = {
     },
     "verify": {
         "suite": (str, None, True),
-        "dim": (int, 64, False, "specfun ignores it; states uses it except for the displaced-vacuum\n"
-                "check (128 levels); lattice uses it for the uniform array (SU(1,1) stays at\n"
-                "200 guides); algebra uses it for every check"),
+        "dim": (int, 64, False, "specfun ignores it; states and algebra use it for every check;\n"
+                "lattice uses it for the uniform array (SU(1,1) stays at 200 guides)"),
         "seed": (int, 12345, False),
     },
 }
@@ -413,15 +412,8 @@ def _run_bch_check(params):
                 else algebra.Ordering.NORMAL_FIRST)
     given = algebra.BCHParams(plus=params["xplus"], zero=params["xzero"],
                               minus=params["xminus"], ordering=ordering)
-    if ordering is algebra.Ordering.ANTINORMAL_FIRST:
-        converted = algebra.bch_antinormal_to_normal(given)
-        back = algebra.bch_normal_to_antinormal(converted)
-    else:
-        converted = algebra.bch_normal_to_antinormal(given)
-        back = algebra.bch_antinormal_to_normal(converted)
-    round_trip = max(abs(back.plus - given.plus), abs(back.zero - given.zero),
-                     abs(back.minus - given.minus))
-    identity = algebra.verify_bch(given, params["dim"], edge_exclude=params["edge_exclude"])
+    converted, round_trip, identity = checks.reordering_check(
+        given, params["dim"], edge_exclude=params["edge_exclude"])
     results = [
         checks.CheckResult("bch-identity", identity, params["tol"]),
         checks.CheckResult("bch-round-trip", round_trip, 1e-13),

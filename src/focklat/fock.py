@@ -128,8 +128,8 @@ class TruncatedOperator:
 def basis_state(dim, n):
     """Fock basis vector |n> in an N-level space."""
     dim = _check_dim(dim)
-    if not 0 <= n < dim:
-        raise DimensionError(f"basis index {n} outside [0, {dim})")
+    if not isinstance(n, (int, np.integer)) or not 0 <= n < dim:
+        raise DimensionError(f"basis index {n!r} is not an integer in [0, {dim})")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
     return v

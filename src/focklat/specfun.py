@@ -41,17 +41,15 @@ def _start_order(m, x):
     return m + max(50, int(math.ceil(2.5 * abs(x))))
 
 
-def _miller_j(tops, xs):
-    """J_0..J_{tops[i]} at every x = xs[i] (all > 0) from one downward pass.
+def _miller_j(m_max, xs):
+    """J_0..J_{m_max} at every x of ``xs`` (all > 0) from one downward pass.
 
     Row i is seeded at its own start order and rescaled on its own, so it
-    is bitwise the single-argument recurrence at xs[i] to order tops[i];
-    the rows only share the loop over k.  Rows are taken in order of
-    falling start, so the rows under way at step k are a leading block.
-    Returns shape (len(xs), max(tops) + 1); entries past a row's own top
-    order are the caller's to clear.
+    is bitwise the single-argument recurrence at xs[i]; the rows only share
+    the loop over k.  Rows are taken in order of falling start, so the rows
+    under way at step k are a leading block.  Returns shape (len(xs), m_max + 1).
     """
-    starts = np.array([_start_order(int(t), x) for t, x in zip(tops, xs)])
+    starts = np.array([_start_order(m_max, x) for x in xs])
     starts += starts % 2
     order = np.argsort(-starts, kind="stable")
     starts, xs = starts[order], xs[order]
@@ -69,12 +67,9 @@ def _miller_j(tops, xs):
             f[:live][np.abs(col) > _RESCALE] *= 1.0 / _RESCALE
     # each row's own sum, so numpy's pairwise order matches the scalar one
     s = np.array([row[0] + 2.0 * row[2:start + 1:2].sum() for row, start in zip(f, starts)])
-    top = int(tops.max())
-    rows = f[:, : top + 1]
+    rows = f[:, : m_max + 1]
     rows /= s[:, None]
-    out = np.empty((len(xs), top + 1))
-    out[order] = rows
-    return out
+    return rows[np.argsort(order)]
 
 
 def _j_ratios(count, x):
@@ -91,7 +86,7 @@ def _j_ratios(count, x):
 
 
 def _leading_term_j(m_max, xs):
-    """(x/2)^m / m! for m = 0..m_max at every x of ``xs`` (all small and nonzero)."""
+    """(x/2)^m / m! for m = 0..m_max at every x of ``xs`` (all small)."""
     out = np.ones((len(xs), m_max + 1))
     out[:, 1:] = np.cumprod((0.5 * xs)[:, None] / np.arange(1, m_max + 1), axis=1)
     return out
@@ -118,14 +113,13 @@ def bessel_j_rows(m_max, xs):
     One downward Miller pass runs over all arguments at once; each keeps
     its own start order and rescaling, so row i is bitwise what a pass at
     xs[i] alone gives, and :func:`bessel_j_all` is the one-row case.
-    Arguments with 0 < |x| < 2^-30 take the leading series term instead.
+    Arguments with |x| < 2^-30 take the leading series term instead.
 
     Parameters
     ----------
-    m_max : int or array_like of int
-        Highest order, for every row or one per argument.  The certified
-        1e-12 accuracy holds through order 200; beyond that, deep-tail
-        values may underflow to zero.
+    m_max : int
+        Highest order.  The certified 1e-12 accuracy holds through order
+        200; beyond that, deep-tail values may underflow to zero.
     xs : array_like
         One-dimensional arguments with |x| <= 50.  Negative arguments are
         folded back with the parity J_m(-x) = (-1)^m J_m(x).
@@ -133,33 +127,23 @@ def bessel_j_rows(m_max, xs):
     Returns
     -------
     ndarray
-        Shape (len(xs), max(m_max) + 1); row i holds orders 0..m_max[i] at
-        xs[i], bitwise ``bessel_j_all(m_max[i], xs[i])``, and zeros above.
+        Shape (len(xs), m_max + 1); row i is bitwise ``bessel_j_all(m_max, xs[i])``.
     """
-    tops = np.asarray(m_max)
-    if tops.dtype.kind not in "iu" or tops.ndim > 1 or (tops < 0).any():
+    if not isinstance(m_max, (int, np.integer)) or m_max < 0:
         raise RangeError(f"order must be a non-negative integer, got {m_max!r}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise RangeError(f"arguments must be one-dimensional, got shape {xs.shape}")
-    if tops.ndim and tops.shape != xs.shape:
-        raise RangeError(f"{tops.size} top orders for {xs.size} arguments")
     over = ~(np.abs(xs) <= MAX_ARGUMENT)
     if over.any():
         raise RangeError(f"|argument| {abs(xs[over][0])} exceeds supported maximum "
                          f"{MAX_ARGUMENT}")
-    top = int(tops.max(initial=0))
-    tops = np.broadcast_to(tops, xs.shape)
-    out = np.zeros((len(xs), top + 1))
-    out[xs == 0.0, 0] = 1.0
-    tiny = (xs != 0.0) & (np.abs(xs) < _LEADING_TERM_CUTOFF)
-    out[tiny] = _leading_term_j(top, np.abs(xs[tiny]))
-    live = np.abs(xs) >= _LEADING_TERM_CUTOFF
-    if live.any():
-        rows = _miller_j(tops[live], np.abs(xs[live]))
-        out[live, : rows.shape[1]] = rows
+    out = np.empty((len(xs), m_max + 1))
+    tiny = np.abs(xs) < _LEADING_TERM_CUTOFF
+    out[tiny] = _leading_term_j(m_max, np.abs(xs[tiny]))
+    if not tiny.all():
+        out[~tiny] = _miller_j(m_max, np.abs(xs[~tiny]))
     out[xs < 0.0, 1::2] *= -1.0
-    out[np.arange(top + 1) > tops[:, None]] = 0.0
     return out
 
 

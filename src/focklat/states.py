@@ -225,7 +225,7 @@ def london_state_ordered(alpha, dim):
     form checks :func:`london_state` independently.
     """
     dim = _check_dim(dim)
-    alpha = _real_alpha(alpha, "london_state")
+    alpha = _real_alpha(alpha, "london_state_ordered")
     top = _bessel_top(2.0 * alpha)
     levels = min(dim + max(0, math.ceil((top - dim - 1) / 2)), max(2, top))
     out = np.zeros(dim, dtype=complex)
@@ -270,9 +270,9 @@ def _su11_rows(rs, k, dim):
     accuracy.  tanh^m r is a real power; the phase is the caller's.
     math.cosh and math.tanh are taken per r, since numpy's can differ in
     the last bit and the CLI prints every digit.  Gamma ratios go through
-    log-gamma differences so large m cannot overflow, and are exactly 1 at
-    k = 1/2, the lattices' index; at huge k the rows may hold inf or nan,
-    which the caller checks.
+    log-gamma differences so large m cannot overflow; at k = 1/2, the
+    lattices' index, they are exactly 1, since lgamma(1) is 0 and 2k + m is
+    m + 1.  At huge k the rows may hold inf or nan, which the caller checks.
     """
     pre = []
     for r in rs:
@@ -282,13 +282,10 @@ def _su11_rows(rs, k, dim):
             sech = 2.0 * math.exp(-r)
         pre.append(sech ** (2.0 * k))
     tanh = np.array([math.tanh(r) for r in rs])
+    lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
     with np.errstate(all="ignore"):  # overflow at huge k
-        if 2 * k == 1:  # Gamma(1 + m) / (m! Gamma(1)) = 1 for every m
-            gamma_ratio = 1.0
-        else:
-            lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
-            gamma_ratio = np.exp(0.5 * (lg - math.lgamma(2 * k)))
-        return np.array(pre)[:, None] * gamma_ratio * tanh[:, None] ** np.arange(dim)
+        rows = np.multiply.outer(pre, np.exp(0.5 * (lg - math.lgamma(2 * k))))
+        return np.multiply(rows, tanh[:, None] ** np.arange(dim), out=rows)  # two arrays at most
 
 
 def su11_perelomov_state(alpha, k, dim):
@@ -313,15 +310,14 @@ def su11_perelomov_state(alpha, k, dim):
     return row * np.cumprod(np.r_[1.0, np.full(dim - 1, alpha / abs(alpha))])
 
 
-def eigen_residual(op, vec, eigenvalue, exclude_top=0):
+def eigen_residual(op, vec, eigenvalue):
     """Relative eigenvalue defect ||(op v - lambda v)|_{kept}|| / ||v||.
 
-    The top ``exclude_top`` components are dropped before taking the norm,
-    since the truncated ladder always breaks the relation at the boundary.
+    The top level is dropped before taking the norm, since the truncated
+    ladder always breaks the relation there.
     """
     v = np.asarray(vec, dtype=complex)
     if v.shape[0] != op.dim:
         raise DimensionError(f"state dimension {v.shape[0]} does not match operator {op.dim}")
-    keep = op.dim - int(exclude_top)
     r = op.apply(v) - complex(eigenvalue) * v
-    return float(np.linalg.norm(r[:keep]) / np.linalg.norm(v))
+    return float(np.linalg.norm(r[:-1]) / np.linalg.norm(v))

@@ -95,6 +95,66 @@ def test_criterion_03_bch_round_trip():
     assert _report(3, "reordering parameter maps round-trip", ok, f"worst={worst:.3e}")
 
 
+def _inline_reordering_check(given, dim, edge_exclude=None):
+    """The reordering check as ``bch-check`` and the algebra suite each wrote it
+    inline before both called ``checks.reordering_check``, kept as its reference."""
+    if given.ordering is Ordering.ANTINORMAL_FIRST:
+        converted = algebra.bch_antinormal_to_normal(given)
+        back = algebra.bch_normal_to_antinormal(converted)
+    else:
+        converted = algebra.bch_normal_to_antinormal(given)
+        back = algebra.bch_antinormal_to_normal(converted)
+    round_trip = max(abs(back.plus - given.plus), abs(back.zero - given.zero),
+                     abs(back.minus - given.minus))
+    return converted, round_trip, algebra.verify_bch(given, dim, edge_exclude=edge_exclude)
+
+
+def _check_cells(argv, capsys):
+    """Exit status, {check: residual} and the diagnostics of a checking command."""
+    status = cli.main(argv)
+    lines = capsys.readouterr().out.splitlines()
+    cells = {row.split(",")[0]: float(row.split(",")[1])
+             for row in lines[1:] if not row.startswith("#")}
+    return status, cells, dict(line[2:].split(" = ", 1) for line in lines if line.startswith("# "))
+
+
+def test_criterion_03_cli_residuals_are_the_inline_reordering_check(capsys):
+    # the CLI reads Python complex numbers, whose arithmetic is not numpy's to the bit
+    rng = np.random.default_rng(20240811)
+    draws = [(BCHParams(*map(complex, (p.plus, p.zero, p.minus)), p.ordering), 16)
+             for p in (_draw_params(rng) for _ in range(50))]
+    draws.append((BCHParams(plus=0.2 - 0.1j, zero=0.8j, minus=0.25,
+                            ordering=Ordering.NORMAL_FIRST), None))
+    for given, edge in draws:
+        argv = ["bch-check", *(f"--x{name}={cli.format_complex(getattr(given, name))}"
+                               for name in ("plus", "zero", "minus")),
+                "--ordering", "normal" if given.ordering is Ordering.NORMAL_FIRST
+                else "antinormal", "--dim", "64"]
+        if edge is not None:
+            argv.append(f"--edge-exclude={edge}")
+        _, cells, diagnostics = _check_cells(argv, capsys)
+        converted, round_trip, identity = _inline_reordering_check(given, 64, edge)
+        assert cells == {"bch-identity": identity, "bch-round-trip": round_trip}
+        assert diagnostics == {f"converted_{name}": cli.format_complex(getattr(converted, name))
+                               for name in ("plus", "zero", "minus")}
+
+    # the algebra suite's ten draws at its default seed
+    rng = np.random.default_rng(12345)
+    worst_rt = worst_id = 0.0
+    for _ in range(10):
+        b = BCHParams(
+            plus=0.15 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()),
+            zero=np.exp(1j * rng.uniform(-2.9, 2.9)),
+            minus=0.15 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()),
+            ordering=Ordering.ANTINORMAL_FIRST,
+        )
+        _, round_trip, identity = _inline_reordering_check(b, 64)
+        worst_rt, worst_id = max(worst_rt, round_trip), max(worst_id, identity)
+    status, cells, _ = _check_cells(["verify", "--suite", "algebra", "--dim", "64"], capsys)
+    assert status == 0
+    assert (cells["bch-round-trip"], cells["bch-identity-random"]) == (worst_rt, worst_id)
+
+
 def test_criterion_04_phase_state_equivalence():
     worst_form = 0.0
     worst_eig = 0.0
@@ -104,7 +164,7 @@ def test_criterion_04_phase_state_equivalence():
         worst_form = max(worst_form, float(np.abs(direct - ordered).max()))
         ph = algebra.phase_operators(32)
         worst_eig = max(worst_eig, states.eigen_residual(
-            ph.v, direct, np.exp(1j * phi), exclude_top=1))
+            ph.v, direct, np.exp(1j * phi)))
     ok = worst_form <= 1e-8 and worst_eig <= 1e-12
     assert _report(4, "phase-state forms and shift eigenvalue", ok,
                    f"worst_form_dev={worst_form:.3e}, worst_eigen_res={worst_eig:.3e}")
@@ -115,10 +175,10 @@ def test_criterion_05_eigenvalue_relations():
     gen = algebra.su11_generators(64)
     for alpha in (0.5, 1.3, 2.0):
         bg = states.bg_state(alpha, 64)
-        worst = max(worst, states.eigen_residual(gen.kminus, bg, alpha, exclude_top=1))
+        worst = max(worst, states.eigen_residual(gen.kminus, bg, alpha))
         lon = states.london_state(alpha, 64)
         dop = states.deformed_annihilation(alpha, 64)
-        worst = max(worst, states.eigen_residual(dop, lon, alpha, exclude_top=1))
+        worst = max(worst, states.eigen_residual(dop, lon, alpha))
     ok = worst <= 1e-8
     assert _report(5, "lowering-operator eigenvalue relations", ok, f"worst={worst:.3e}")
 

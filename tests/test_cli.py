@@ -643,6 +643,21 @@ def test_run_suite_checks_its_dimension(suite, dim, error):
         checks.run_suite(suite, dim=dim)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_run_suite_checks_its_seed(seed):
+    # numpy's default_rng raised its own ValueError or TypeError in the algebra suite
+    with pytest.raises(RangeError):
+        checks.run_suite("algebra", 8, seed=seed)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64, 4096])
+def test_displaced_vacuum_check_runs_at_dim(dim):
+    # it ran at 128 levels whatever dim said and read 6.96e-14; the truncated
+    # norm is 1 - tanh^{2 dim}|alpha| at k = 1/2, not 1
+    cells = {r.name: r.residual for r in checks.suite_states(dim)}
+    assert cells["displaced-vacuum-normalisation"] <= 1e-15
+
+
 def test_lattice_suite_holds_one_propagation():
     # 0.965 MB when the uniform propagation stayed alive through the SU(1,1)
     # one and each block's temporaries through its checks
@@ -752,7 +767,7 @@ def test_verify_help_says_what_dim_means_for_every_suite(capsys):
     assert status == 0 and err == ""
     about = out.split("--dim VALUE", 1)[1].split("  --seed", 1)[0]
     assert all(suite in about for suite in checks.SUITES)
-    assert "128 levels" in about and "200 guides" in about
+    assert "200 guides" in about and "levels" not in about
 
 
 @pytest.mark.parametrize("dim", ["0", "1"])

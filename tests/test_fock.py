@@ -61,6 +61,8 @@ def test_dimension_validation():
         fock.commutator(fock.identity(4), fock.identity(5))
     with pytest.raises(DimensionError):
         fock.basis_state(4, 4)
+    with pytest.raises(DimensionError):  # numpy raised IndexError
+        fock.basis_state(4, 1.5)
 
 
 def test_expm_trivial_cases():

@@ -134,20 +134,25 @@ def _scalar_miller_j(m_max, x):
     return f[: m_max + 1] / (f[0] + 2.0 * f[2::2].sum()), rescaled
 
 
-@pytest.mark.parametrize("m_max", [1, 64, 200])
+@pytest.mark.parametrize("m_max", [0, 1, 5, 64, 200])
 def test_batched_rows_are_bitwise_the_scalar_recurrence(m_max):
-    xs = np.concatenate([np.geomspace(0.001, 50.0, 40), -np.geomspace(0.02, 30.0, 7), [0.0]])
+    # zero, tiny and negative arguments among the rows too, each bitwise its one-row call
+    xs = np.concatenate([np.geomspace(0.001, 50.0, 40), -np.geomspace(0.02, 30.0, 7),
+                         [0.0, -0.0, 1e-300, -7.5]])
     rows = specfun.bessel_j_rows(m_max, xs)
     assert rows.shape == (len(xs), m_max + 1)
     rescaled = False
     for x, row in zip(xs, rows):
         assert np.array_equal(row, specfun.bessel_j_all(m_max, x))
-        if x != 0.0:
+        if abs(x) >= specfun._LEADING_TERM_CUTOFF:
             ref, hit = _scalar_miller_j(m_max, abs(x))
             assert np.array_equal(row, ref * np.where(x < 0, -1.0, 1.0) ** np.arange(m_max + 1))
             rescaled |= hit
     # from order 64 up, the smallest arguments go through the rescale branch
     assert rescaled == (m_max >= 64)
+    # J_m(0) is the unit row, with no negative zero for x = -0.0
+    for zero in rows[-4:-2]:
+        assert zero.tobytes() == np.eye(1, m_max + 1).tobytes()
 
 
 def test_batched_rows_range_errors():
@@ -157,22 +162,8 @@ def test_batched_rows_range_errors():
         specfun.bessel_j_rows(4, [float("nan")])
 
 
-def test_rows_with_their_own_top_orders_are_bitwise_the_one_row_calls():
-    # bessel-shift-normalisation's grid, plus a zero, a tiny and a negative argument
-    zs = np.linspace(0.25, 10.0, 20)
-    xs = np.concatenate([2.0 * zs, [0.0, 1e-300, -7.5]])
-    tops = np.concatenate([np.ceil(4 * zs).astype(int) + 61, [3, 9, 140]])
-    rows = specfun.bessel_j_rows(tops, xs)
-    assert rows.shape == (len(xs), tops.max() + 1)
-    for x, top, row in zip(xs, tops, rows):
-        assert np.array_equal(row[:top + 1], specfun.bessel_j_all(int(top), x))
-        assert not row[top + 1:].any()
-
-
 def test_rows_top_orders_must_match_the_arguments():
-    with pytest.raises(RangeError):
-        specfun.bessel_j_rows([4, 5], [1.0])
-    with pytest.raises(RangeError):
-        specfun.bessel_j_rows([4, -1], [1.0, 2.0])
-    with pytest.raises(RangeError):
-        specfun.bessel_j_rows([4.0], [1.0])
+    # one top order for every row: an array of them is refused
+    for m_max in ([4, 5], np.array([4, 5]), [4], -1, 4.0):
+        with pytest.raises(RangeError):
+            specfun.bessel_j_rows(m_max, [1.0, 2.0])

@@ -25,7 +25,7 @@ def test_phase_state_shift_eigenvalue():
     n, phi = 128, 1.1
     vec = states.phase_state(phi, n)
     ph = algebra.phase_operators(n)
-    assert states.eigen_residual(ph.v, vec, np.exp(1j * phi), exclude_top=1) <= 1e-12
+    assert states.eigen_residual(ph.v, vec, np.exp(1j * phi)) <= 1e-12
     # the defect is confined to the top component
     defect = ph.v.apply(vec) - np.exp(1j * phi) * vec
     assert np.abs(defect[: n - 1]).max() <= 1e-13
@@ -157,9 +157,8 @@ def test_bg_state_eigenvalue():
     alpha = 1.0 + 0.5j
     vec = states.bg_state(alpha, 64)
     gen = algebra.su11_generators(64)
-    assert states.eigen_residual(gen.kminus, vec, alpha, exclude_top=1) <= 1e-10
-    assert states.eigen_residual(gen.kminus, states.bg_state(1.0, 64), 1.0,
-                                 exclude_top=1) <= 1e-10
+    assert states.eigen_residual(gen.kminus, vec, alpha) <= 1e-10
+    assert states.eigen_residual(gen.kminus, states.bg_state(1.0, 64), 1.0) <= 1e-10
 
 
 def test_bg_state_ordered_form():
@@ -222,6 +221,12 @@ def test_london_ordered_at_zero_is_the_vacuum():
     assert np.array_equal(states.london_state_ordered(-0.0, 2), fock.vacuum(2))
 
 
+def test_london_ordered_names_itself_for_a_complex_alpha():
+    # the message named london_state
+    with pytest.raises(RangeError, match="^london_state_ordered takes a real parameter"):
+        states.london_state_ordered(1j, 8)
+
+
 def test_dimension_ceiling():
     # rejected before any array of that size is asked for
     with pytest.raises(RangeError):
@@ -236,7 +241,7 @@ def test_deformed_annihilation_eigenvalue():
     for alpha in (0.5, 1.3, 2.0):
         vec = states.london_state(alpha, 64)
         op = states.deformed_annihilation(alpha, 64)
-        assert states.eigen_residual(op, vec, alpha, exclude_top=1) <= 1e-8
+        assert states.eigen_residual(op, vec, alpha) <= 1e-8
     op = states.deformed_annihilation(1.3, 64)
     assert np.allclose(op.apply(fock.vacuum(64)), np.zeros(64))
 
@@ -280,7 +285,7 @@ def test_deformed_annihilation_at_dim_1024(alpha):
             # rho_0 = 0.4 - 1/rho_1 = 0.171 at alpha = 5, where J_1(10) nears its root
             tol = 1e-15 if n + 2 > 2 * alpha else 4e-15
             assert abs(float((entries[n] - ref) / ref)) <= tol, n
-    assert states.eigen_residual(op, states.london_state(alpha, dim), alpha, exclude_top=1) <= 1e-8
+    assert states.eigen_residual(op, states.london_state(alpha, dim), alpha) <= 1e-8
 
 
 def test_deformed_annihilation_root_guard_at_a_higher_level():
@@ -333,6 +338,17 @@ def test_su11_state_phase_is_exact_on_the_axes(unit):
     if unit == 1j:
         spec = lattice.LatticeSpec(lattice.LatticeKind.SU11, 400)
         assert np.array_equal(vec, lattice.impulse_profile(spec, 1.0))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64, 400, 4096])
+def test_su11_rows_at_k_one_half_are_sech_times_tanh_powers(dim):
+    # the log-gamma ratio is exactly 1 at k = 1/2 (lgamma(1) = 0 and 2k + m = m + 1),
+    # so the rows are bitwise sech r tanh^m r without a branch for that index;
+    # r = 711 is past the point where cosh overflows
+    rs = [0.0, 1e-300, 0.5, 1.0, 19.0, 100.0, 710.0, 711.0]
+    for r, row in zip(rs, states._su11_rows(rs, 0.5, dim)):
+        sech = 1.0 / math.cosh(r) if r < 710.5 else 2.0 * math.exp(-r)
+        assert np.array_equal(row, np.float64(sech) * np.float64(math.tanh(r)) ** np.arange(dim))
 
 
 def _su11_reference(alpha, k, dim):
