@@ -44,13 +44,16 @@ in BLAS (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012), with
 P real on the right.  P's slices are held and the left factor's are
 streamed, one at a time, into per-level accumulators: every partial sum
 of a level is exact, so each level is bitwise its whole sum, in whatever
-order BLAS adds.  The outer diagonals only scale finished entries,
-so they are rounded to double.  Powers such as 0.3^-384 or (1e-8)^k
-leave double range although the entries do not, so every power is
-carried as a mantissa and an integer binary exponent, and the exponents
-enter only the power-of-two scalings of the slice products.  Neither
-side is rewritten through a hypergeometric transformation: that
-rewriting is the identity under test.
+order BLAS adds.  Only buffers that a later step reads are held: the
+power tables are freed once each side's powers are copied out, before
+any product, and each slice of P is dropped after its last product.
+The outer diagonals only scale finished entries, so they are rounded to
+double.  Powers such as 0.3^-384 or (1e-8)^k leave double range although
+the entries do not, so every power is carried as a mantissa and an
+integer binary exponent, and the exponents enter only the power-of-two
+scalings of the slice products.  Neither side is rewritten through a
+hypergeometric transformation: that rewriting is the identity under
+test.
 """
 
 import cmath
@@ -74,6 +77,10 @@ from .fock import TruncatedOperator
 # Largest working dimension of verify_bch: every binomial C(k, j) with
 # k < 1024 is finite in double precision.
 _MAX_LEVELS = 1024
+
+# log k! for k <= _MAX_LEVELS, the terms' binomials in _default_guard
+_LOG_FACTORIALS = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, _MAX_LEVELS + 1)))))
+_LOG_FACTORIALS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -291,28 +298,28 @@ def _bases(monomials):
 
 
 def _cdd_powers(bases, n):
-    """Powers x^j, j < n, of the complex double-double bases (m, e) of :func:`_bases`.
+    """Powers x^j, j < n (n >= 2), of the complex double-double bases (m, e) of :func:`_bases`.
 
     Returns (mantissas of shape (2, len(e), n), exponents of shape
     (len(e), n)): x^j = mantissa 2^exponent.  Powers are formed by
-    doubling, x^(L..2L) = x^(0..L) x^L, and every new block is rescaled by
-    powers of two, so no power over- or underflows whatever |x|.
+    doubling, x^(L..2L) = x^(0..L) x^L, cut at x^(n-1), and every new block
+    is rescaled by powers of two, so no power over- or underflows whatever |x|.
     """
     (mh, ml), e = bases
-    hi = np.zeros((2, len(e), 2 * n + 1))
+    hi = np.zeros((2, len(e), n))
     lo = np.zeros_like(hi)
-    ex = np.zeros((len(e), 2 * n + 1), dtype=np.int64)
+    ex = np.zeros((len(e), n), dtype=np.int64)
     hi[0, :, 0] = 1.0
     hi[..., 1], lo[..., 1], ex[:, 1] = mh, ml, e
     top = 1  # x^0 .. x^top are filled
     while top < n - 1:
-        done, step = slice(0, top + 1), slice(top, top + 1)
+        done, step = slice(0, min(top, n - 1 - top) + 1), slice(top, top + 1)
         block = _cdd_mul((hi[..., done], lo[..., done]), (hi[..., step], lo[..., step]))
         block, be = _normalised(block, ex[:, done] + ex[:, step])
-        new = slice(top, 2 * top + 1)
+        new = slice(top, top + done.stop)  # x^top .. x^min(2 top, n - 1)
         hi[..., new], lo[..., new], ex[:, new] = block[0], block[1], be
         top *= 2
-    return (hi[..., :n], lo[..., :n]), ex[:, :n]
+    return (hi, lo), ex
 
 
 @functools.lru_cache(maxsize=None)  # n is a power of two <= _MAX_LEVELS
@@ -372,7 +379,7 @@ def _int32(e):
     saturates (to 0 or inf) past about +-2100, so the clip leaves every
     result bitwise as it was.
     """
-    return np.clip(e, -(1 << 20), 1 << 20).astype(np.int32)
+    return np.minimum(np.maximum(e, -(1 << 20)), 1 << 20).astype(np.int32)
 
 
 def _cldexp(z, e):
@@ -400,8 +407,13 @@ def _sliced_product(x, y, mid, left, right):
     one slice at a time, and each x_s y_t (s + t < count) is one BLAS
     product added into level s + t's accumulator.  Every level is bitwise
     the sum of its terms, as if it were one product, while no more than
-    one slice of x is alive.  y is real, so every product is a real one on
-    the real and imaginary parts of x.  The levels are summed in
+    one slice of x is alive.  Only buffers that a later step reads are
+    held: the scaling exponents go once applied; slice 0 writes each
+    x_0 y_t straight into level t (the first term of every level), so no
+    level is zero-filled, and the product scratch is made when slice 1
+    starts; y_(count-1-s) is dropped as soon as slice s is done, since
+    that was its last product.  y is real, so every product is a real one
+    on the real and imaginary parts of x.  The levels are summed in
     double-double down to 2^-60 of the scale of the *final* entries, the
     outer diagonals included (at most eight slices: past that the tables
     carry no more digits).
@@ -419,19 +431,27 @@ def _sliced_product(x, y, mid, left, right):
     need = (row + le).max() + (col + re).max() + q.bit_length() + 4 + 60
     count = int(max(1, min(8, -(-need // beta))))
     ye = _int32(-bal[:, None] - col[None, :])
-    ys = np.empty((count, q, r))
-    for t, yt in enumerate(_slices(np.ldexp(yh, ye), np.ldexp(yl, ye), beta, count)):
-        ys[t] = yt
-    del yt  # the stream's buffer, freed before x is cut
+    yh, yl = np.ldexp(yh, ye), np.ldexp(yl, ye)
+    del ye
+    ys = [yt.copy() for yt in _slices(yh, yl, beta, count)]
+    del yh, yl  # with the stream's buffers, freed before x is cut
     xe = _int32((mid + bal)[None, :] - row[:, None])
     np.ldexp(xh, xe, out=xh)
     np.ldexp(xl, xe, out=xl)
-    levels = np.zeros((count, 2, p, r))  # levels[s + t] gathers the products x_s y_t
-    part = np.empty((2, p, r))
+    del xe
+    levels = np.empty((count, 2, p, r))  # levels[s + t] gathers the products x_s y_t
+    part = None
     for s, xs in enumerate(_slices(xh, xl, beta, count)):
-        for t in range(count - s):
-            levels[s + t] += np.matmul(xs, ys[t], out=part)
-    del x, xh, xl, xs, ys, part  # only the levels are alive for their sum
+        if s == 1:  # scratch for the products of every later slice
+            part = np.empty((2, p, r))
+        for t, yt in enumerate(ys):
+            if s == 0:  # x_0 y_t is level t's first term, so the levels need no zero fill
+                np.matmul(xs, yt, out=levels[t])
+            else:
+                levels[s + t] += np.matmul(xs, yt, out=part)
+        del yt
+        ys.pop()  # y_(count-1-s): its last product was with x_s
+    del x, xh, xl, xs, part  # only the levels are alive for their sum
     hi = lo = 0.0
     for level in levels:
         hi, err = _two_sum(hi, level)
@@ -483,26 +503,32 @@ def _ordered_blocks(sides, keep, levels, binom):
     """
     forms, monomials = zip(*(_factorisation(params) for params in sides))
     (ph, pl), pe = _cdd_powers(_bases([b for m in monomials for b in m]), levels)
-    powers = iter(zip(ph.transpose(1, 0, 2), pl.transpose(1, 0, 2), pe))
+    # the powers each side reads, copied out so that the tables are freed before the
+    # products: keep of each outer diagonal's base and, for a sum, len(q) of w or u
+    cuts = []
+    for params, m in zip(sides, monomials):
+        cuts += [keep, keep, keep if params.ordering is Ordering.NORMAL_FIRST else levels][:len(m)]
+    powers = iter([(ph[:, i, :n].copy(), pl[:, i, :n].copy(), pe[i, :n].copy())
+                   for i, n in enumerate(cuts)])
+    del ph, pl, pe
     blocks = []
     for params, form in zip(sides, forms):
         # outer diagonals rounded to double; sqrt(zero) joins the left one
         (lh, _, le), (rh, _, re) = next(powers), next(powers)
         c = cmath.sqrt(params.zero)
         ce = math.frexp(abs(c))[1]
-        left = ((lh[0, :keep] + 1j * lh[1, :keep])
-                * complex(math.ldexp(c.real, -ce), math.ldexp(c.imag, -ce)), le[:keep] + ce)
-        right = rh[0, :keep] + 1j * rh[1, :keep], re[:keep]
+        left = ((lh[0] + 1j * lh[1]) * complex(math.ldexp(c.real, -ce), math.ldexp(c.imag, -ce)),
+                le + ce)
+        right = rh[0] + 1j * rh[1], re
         if form == "sum":
             if params.ordering is Ordering.NORMAL_FIRST:
                 q = binom[0][:keep, :keep].T, binom[1][:keep, :keep].T  # q[k, n] = C(n, k)
             else:
                 q = binom[0][:levels, :keep], binom[1][:levels, :keep]  # q[k, n] = C(k, n)
             wh, wl, we = next(powers)
-            n = len(q[0])
-            factors = (q[0].T, q[1].T), (wh[:, None, :n], wl[:, None, :n])
+            factors = (q[0].T, q[1].T), (wh[:, None], wl[:, None])
             # x = q^T diag(w^k) is handed over with no other reference: it is overwritten
-            blocks.append(_sliced_product(_dd_mul(*factors), q, we[:n], left, right))
+            blocks.append(_sliced_product(_dd_mul(*factors), q, we, left, right))
         else:
             table = {"lower": binom[0][:keep, :keep], "upper": binom[0][:keep, :keep].T,
                      "diagonal": np.eye(keep)}[form]
@@ -525,7 +551,7 @@ def _default_guard(params, dim, keep):
     """
     if params.plus == 0 or params.minus == 0:
         return 0  # each sum ends at k = max(m, n) < keep
-    logf = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, _MAX_LEVELS + 1)))))
+    logf = _LOG_FACTORIALS
     m = np.arange(keep)
     q = abs(params.plus * params.minus * params.zero)
     for start in range(dim, _MAX_LEVELS + 1, 128):

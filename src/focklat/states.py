@@ -283,9 +283,12 @@ def _su11_rows(rs, k, dim):
         pre.append(sech ** (2.0 * k))
     tanh = np.array([math.tanh(r) for r in rs])
     lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
+    m = np.arange(dim)
     with np.errstate(all="ignore"):  # overflow at huge k
         rows = np.multiply.outer(pre, np.exp(0.5 * (lg - math.lgamma(2 * k))))
-        return np.multiply(rows, tanh[:, None] ** np.arange(dim), out=rows)  # two arrays at most
+        for b in range(0, len(rows), 64):  # the powers of at most 64 r at a time
+            rows[b:b + 64] *= tanh[b:b + 64, None] ** m
+    return rows
 
 
 def su11_perelomov_state(alpha, k, dim):

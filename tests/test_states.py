@@ -351,6 +351,45 @@ def test_su11_rows_at_k_one_half_are_sech_times_tanh_powers(dim):
         assert np.array_equal(row, np.float64(sech) * np.float64(math.tanh(r)) ** np.arange(dim))
 
 
+def _su11_broadcast_rows(rs, k, dim):
+    """The rows as _su11_rows formed them with every power at once, kept as its reference."""
+    pre = []
+    for r in rs:
+        try:
+            sech = 1.0 / math.cosh(r)
+        except OverflowError:
+            sech = 2.0 * math.exp(-r)
+        pre.append(sech ** (2.0 * k))
+    tanh = np.array([math.tanh(r) for r in rs])
+    lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
+    with np.errstate(all="ignore"):
+        rows = np.multiply.outer(pre, np.exp(0.5 * (lg - math.lgamma(2 * k))))
+        return rows * tanh[:, None] ** np.arange(dim)
+
+
+@pytest.mark.parametrize("rs,k,dim", [
+    (np.linspace(0.0, 5.0, 201), 0.5, 400),  # four blocks of powers, the last one short
+    (np.linspace(0.0, 3.0, 101), 0.5, 200),
+    ([0.0, 1e-3, 3.0, 711.0, 800.0], 1.3, 64),  # past cosh's overflow
+    (np.linspace(0.0, 2.0, 33), 7.25, 65),
+    ([2.0], 1e5, 10),  # the prefactor underflows to 0 at huge k
+    ([2.0, 0.5], 1e5, 400),  # and meets overflowed Gamma ratios: 0 * inf = nan
+])
+def test_su11_rows_are_bitwise_the_broadcast_form(rs, k, dim):
+    with np.errstate(all="ignore"):
+        rows = states._su11_rows(rs, k, dim)
+    assert rows.shape == (len(rs), dim)
+    assert np.array_equal(rows, _su11_broadcast_rows(rs, k, dim), equal_nan=True)
+
+
+def test_su11_rows_hold_one_block_of_powers():
+    # 0.64 MB of rows at 201 x 400: 1.00 MB with one 64-row block of powers,
+    # 1.43 MB with every power formed at once
+    rs = np.linspace(0.0, 5.0, 201)
+    states._su11_rows(rs, 0.5, 400)
+    assert peak_bytes(lambda: states._su11_rows(rs, 0.5, 400)) <= 1.1e6
+
+
 def _su11_reference(alpha, k, dim):
     """sech^{2k}|alpha| sqrt(Gamma(2k + m) / (m! Gamma(2k))) mu^m in mpmath."""
     with mp.workdps(50):
