@@ -122,9 +122,9 @@ def su11_generators(dim):
     dim = fock._check_dim(dim)
     n = np.arange(dim, dtype=float)
     return Su11Generators(
-        k0=TruncatedOperator(dim, {0: n + 0.5}, edge_band=0),
-        kplus=TruncatedOperator(dim, {-1: n}, edge_band=1),
-        kminus=TruncatedOperator(dim, {1: n + 1}, edge_band=0),
+        k0=TruncatedOperator(dim, {0: n + 0.5}),
+        kplus=TruncatedOperator(dim, {-1: n}),
+        kminus=TruncatedOperator(dim, {1: n + 1}),
     )
 
 
@@ -133,8 +133,8 @@ def phase_operators(dim):
     dim = fock._check_dim(dim)
     ones = np.ones(dim)
     return PhaseOperators(
-        v=TruncatedOperator(dim, {1: ones}, edge_band=0),
-        vdag=TruncatedOperator(dim, {-1: ones}, edge_band=1),
+        v=TruncatedOperator(dim, {1: ones}),
+        vdag=TruncatedOperator(dim, {-1: ones}),
     )
 
 

@@ -2,9 +2,10 @@
 
 States are plain complex ndarrays of length N holding the amplitudes
 c_j = <j|psi>.  Operators are banded and stored as their nonzero diagonals,
-O(N) memory each, together with ``edge_band``, the number of top
-rows/columns that may carry truncation artifacts; checks can use it to
-stay clear of the boundary.
+O(N) memory each.  Arithmetic is exact on the truncated space: where the
+truncation breaks an identity of the untruncated algebra, it does so on
+the top level by a known amount, and checks compare against that exact
+truncated right-hand side on every level.
 """
 
 from dataclasses import dataclass
@@ -52,6 +53,12 @@ class TruncatedOperator:
     ``diagonals`` maps an offset k to an array d of length ``dim`` with
     d[i] = <i|A|i+k>; entries whose column i + k falls outside the space
     are zeroed, and an offset that is not listed is a zero diagonal.
+
+    ``edge_band`` is set by :func:`lattice.build_hamiltonian` alone: the
+    number of top guides that a lattice's oracle comparison may leave out.
+    No operation reads or carries it.  Deleting the field is the lattice
+    half of the ROADMAP's edge-band item, together with that comparison's
+    top-guide cut.
     """
 
     dim: int
@@ -93,7 +100,7 @@ class TruncatedOperator:
 
     def adjoint(self):
         return TruncatedOperator(self.dim, {-k: _shift(d, -k).conj()
-                                            for k, d in self.diagonals.items()}, self.edge_band)
+                                            for k, d in self.diagonals.items()})
 
     def __matmul__(self, other):
         self._check_same_dim(other)
@@ -102,22 +109,21 @@ class TruncatedOperator:
             for b, db in other.diagonals.items():
                 if abs(a + b) < self.dim:
                     out[a + b] = out.get(a + b, 0.0) + da * _shift(db, a)
-        return TruncatedOperator(self.dim, out, min(self.dim, self.edge_band + other.edge_band))
+        return TruncatedOperator(self.dim, out)
 
     def __add__(self, other):
         self._check_same_dim(other)
         out = dict(self.diagonals)
         for k, d in other.diagonals.items():
             out[k] = out.get(k, 0.0) + d
-        return TruncatedOperator(self.dim, out, max(self.edge_band, other.edge_band))
+        return TruncatedOperator(self.dim, out)
 
     def __sub__(self, other):
         return self + -other
 
     def __mul__(self, scalar):
         scalar = complex(scalar)
-        return TruncatedOperator(self.dim, {k: d * scalar for k, d in self.diagonals.items()},
-                                 self.edge_band)
+        return TruncatedOperator(self.dim, {k: d * scalar for k, d in self.diagonals.items()})
 
     __rmul__ = __mul__
 
@@ -148,10 +154,9 @@ def norm_sq(vec):
 
 def identity(dim):
     dim = _check_dim(dim)
-    return TruncatedOperator(dim, {0: np.ones(dim)}, edge_band=0)
+    return TruncatedOperator(dim, {0: np.ones(dim)})
 
 
 def commutator(a, b):
-    """[A, B] = AB - BA; widens the edge band by one extra level."""
-    band = min(a.dim, a.edge_band + b.edge_band + 1)
-    return TruncatedOperator(a.dim, (a @ b - b @ a).diagonals, band)
+    """[A, B] = AB - BA."""
+    return a @ b - b @ a

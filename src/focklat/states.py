@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fock, specfun
 from .algebra import _bessel_top, _rotated_exponential, _two_prod
-from .errors import BesselRootError, DimensionError, NumericError, RangeError
+from .errors import BesselRootError, NumericError, RangeError
 from .fock import TruncatedOperator, _check_dim
 
 MAX_ALPHA = 20.0  # keeps Bessel arguments 2|alpha| inside the table range
@@ -317,10 +317,13 @@ def eigen_residual(op, vec, eigenvalue):
     """Relative eigenvalue defect ||(op v - lambda v)|_{kept}|| / ||v||.
 
     The top level is dropped before taking the norm, since the truncated
-    ladder always breaks the relation there.
+    ladder always breaks the relation there.  A state that is not one
+    dimensional of length ``op.dim`` raises ``DimensionError``, and the zero
+    state ``RangeError``.
     """
-    v = np.asarray(vec, dtype=complex)
-    if v.shape[0] != op.dim:
-        raise DimensionError(f"state dimension {v.shape[0]} does not match operator {op.dim}")
+    v = fock._as_state(vec, op.dim)
+    v_norm = np.linalg.norm(v)
+    if v_norm == 0.0:
+        raise RangeError("state must be nonzero")
     r = op.apply(v) - complex(eigenvalue) * v
-    return float(np.linalg.norm(r[:-1]) / np.linalg.norm(v))
+    return float(np.linalg.norm(r[:-1]) / v_norm)

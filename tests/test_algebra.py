@@ -38,13 +38,27 @@ def test_lowest_weight_action(gen64):
     assert np.allclose(cubed.apply(vac), 6.0 * fock.basis_state(64, 3))
 
 
-def test_su11_commutators(gen64):
-    for (a, b), expected in (((gen64.k0, gen64.kplus), gen64.kplus.to_dense()),
-                             ((gen64.k0, gen64.kminus), -gen64.kminus.to_dense()),
-                             ((gen64.kplus, gen64.kminus), -2.0 * gen64.k0.to_dense())):
-        c = fock.commutator(a, b)
-        keep = 64 - c.edge_band
-        assert np.abs(c.to_dense()[:keep, :keep] - expected[:keep, :keep]).max() <= 1e-12
+def test_su11_commutators():
+    # on every level: the truncation adds N^2 |N-1><N-1| to [K+, K-] = -2 K0
+    for dim in (2, 3, 64):
+        gen = algebra.su11_generators(dim)
+        top = np.zeros((dim, dim))
+        top[-1, -1] = dim ** 2
+        for (a, b), expected in (((gen.k0, gen.kplus), gen.kplus.to_dense()),
+                                 ((gen.k0, gen.kminus), -gen.kminus.to_dense()),
+                                 ((gen.kplus, gen.kminus), -2.0 * gen.k0.to_dense() + top)):
+            assert np.abs(fock.commutator(a, b).to_dense() - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 64, 513, fock.MAX_DIM])
+def test_truncated_identities_hold_exactly_on_every_level(dim):
+    # [K+, K-] = -2 K0 + N^2 |N-1><N-1| and V Vdag = 1 - |N-1><N-1|, entry by entry
+    gen = algebra.su11_generators(dim)
+    ph = algebra.phase_operators(dim)
+    top = fock.TruncatedOperator(dim, {0: fock.basis_state(dim, dim - 1)})
+    c3 = fock.commutator(gen.kplus, gen.kminus)
+    assert checks._entrywise(c3, -2.0 * gen.k0 + float(dim) ** 2 * top) == 0.0
+    assert checks._entrywise(ph.v @ ph.vdag, fock.identity(dim) - top) == 0.0
 
 
 def test_phase_operator_shifts():
@@ -58,12 +72,12 @@ def test_phase_operator_shifts():
 def test_phase_operator_unitarity_defect():
     n = 32
     ph = algebra.phase_operators(n)
-    right = (ph.v @ ph.vdag).to_dense()
-    assert np.array_equal(right[: n - 1, : n - 1], np.eye(n - 1, dtype=complex))
-    left = (ph.vdag @ ph.v).to_dense()
-    expected = np.eye(n, dtype=complex)
-    expected[0, 0] = 0.0
-    assert np.array_equal(left, expected)
+    right = np.eye(n, dtype=complex)
+    right[-1, -1] = 0.0
+    assert np.array_equal((ph.v @ ph.vdag).to_dense(), right)
+    left = np.eye(n, dtype=complex)
+    left[0, 0] = 0.0
+    assert np.array_equal((ph.vdag @ ph.v).to_dense(), left)
 
 
 def test_lowering_is_weighted_shift(gen64):

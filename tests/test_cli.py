@@ -337,9 +337,18 @@ def test_non_finite_state_parameters_fail(argv, capsys):
     assert status in (3, 6) and out == "" and "error:" in err
 
 
-def test_verify_with_no_retained_levels_is_a_dimension_error(capsys):
+def test_verify_algebra_at_dim_2_passes(capsys):
+    # every algebra identity is compared with its exact truncated right-hand
+    # side on every level, so two levels are enough
+    status, out, _ = run_cli(["verify", "--suite", "algebra", "--dim", "2"], capsys)
+    assert status == 0 and "# checks_failed = 0" in out
+
+
+def test_verify_all_at_dim_2_is_an_edge_leakage_error(capsys):
+    # light reaches the edge of the 2-guide uniform lattice
     status, _, err = run_cli(["verify", "--suite", "all", "--dim", "2"], capsys)
-    assert status == 3 and "error:" in err
+    assert status == 5 and err.startswith("error:") and err.count("\n") == 1
+    assert "leak" in err
 
 
 def test_negative_seed_is_a_usage_error(capsys):
@@ -676,9 +685,8 @@ _SWEEP_DIMS = (2, 3, 8, 64, 65, 256, 1024)
                          + [("algebra", d) for d in _SWEEP_DIMS if d <= 256])
 def test_every_suite_over_dimensions(suite, dim, capsys):
     # each run exits 0 or with its documented code, and warns about nothing:
-    # light reaches the edge of a uniform array of fewer than 12 guides (5), and
-    # two levels leave algebra no level clear of the truncation edge (3)
-    expected = {("lattice", 2): 5, ("lattice", 3): 5, ("lattice", 8): 5, ("algebra", 2): 3}
+    # light reaches the edge of a uniform array of fewer than 12 guides (5)
+    expected = {("lattice", 2): 5, ("lattice", 3): 5, ("lattice", 8): 5}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         status, out, err = run_cli(["verify", "--suite", suite, "--dim", str(dim)], capsys)

@@ -31,6 +31,12 @@ def test_su11_hamiltonian_matrix():
     assert np.all(np.diag(h) == 0.0)
 
 
+@pytest.mark.parametrize("n", [3, 4, 400])
+def test_su11_hamiltonian_flags_the_top_quarter(n):
+    # the value that the benchmark's tridiagonal check reads
+    assert lattice.build_hamiltonian(LatticeSpec(LatticeKind.SU11, n)).edge_band == math.ceil(n / 4)
+
+
 def test_lattice_spec_validation():
     with pytest.raises(DimensionError):
         LatticeSpec(LatticeKind.UNIFORM, 1)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -431,6 +432,12 @@ def test_eigen_residual_basics():
     assert states.eigen_residual(ident, v, 1.0) == 0.0
     with pytest.raises(DimensionError):
         states.eigen_residual(ident, np.ones(9, dtype=complex), 1.0)
+    with pytest.raises(DimensionError):  # a scalar raised IndexError
+        states.eigen_residual(ident, 5.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError):  # the zero state returned nan with a RuntimeWarning
+            states.eigen_residual(ident, np.zeros(8, dtype=complex), 1.0)
 
 
 def test_london_amplitudes_match_series_oracle():
