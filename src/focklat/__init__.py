@@ -45,7 +45,7 @@ from .lattice import (
     impulse_profile,
     propagate,
 )
-from .specfun import bessel_i, bessel_j, bessel_j_all
+from .specfun import bessel_i, bessel_j_all
 from .states import (
     bg_state,
     bg_state_ordered,
@@ -74,7 +74,6 @@ __all__ = [
     "bch_antinormal_to_normal",
     "bch_normal_to_antinormal",
     "bessel_i",
-    "bessel_j",
     "bessel_j_all",
     "bg_state",
     "bg_state_ordered",

@@ -144,14 +144,14 @@ def bch_antinormal_to_normal(b):
         A+- = B+- B0 / (1 - B+ B0 B-),   A0 = B0 / (1 - B+ B0 B-)^2
 
     Raises :class:`RangeError` for non-finite parameters,
-    :class:`SingularParameterError` where the denominator vanishes and
-    :class:`NumericError` where an output over- or underflows.
+    :class:`SingularParameterError` where a divisor (den or den^2) is exactly
+    zero and :class:`NumericError` where an output over- or underflows.
     """
     if b.ordering is not Ordering.ANTINORMAL_FIRST:
         raise SingularParameterError("expected antinormal-first parameters")
     _check_finite(b)
     den = 1.0 - b.plus * b.zero * b.minus
-    if abs(den) < 1e-150:
+    if den * den == 0:  # A0's divisor; a nonzero one leaves over- and underflow to _mapped
         raise SingularParameterError("1 - B+ B0 B- vanishes; ordering map is singular")
     return _mapped(b.plus * b.zero / den, b.zero / (den * den), b.minus * b.zero / den,
                    Ordering.NORMAL_FIRST)
@@ -170,7 +170,7 @@ def bch_normal_to_antinormal(a):
         raise SingularParameterError("expected normal-first parameters")
     _check_finite(a)
     den = a.zero - a.plus * a.minus
-    if abs(den) < 1e-150:
+    if den == 0:
         raise SingularParameterError("A0 - A+ A- vanishes; ordering map is singular")
     return _mapped(a.plus / den, (den * den) / a.zero, a.minus / den, Ordering.ANTINORMAL_FIRST)
 

@@ -132,7 +132,6 @@ _OPTION_TABLES = {
         "xminus": (parse_complex, None, True),
         "ordering": (str, "antinormal", False),
         "dim": (int, 64, False),
-        "edge_exclude": (int, None, False),
         "tol": (float, 1e-9, False),
     },
     "verify": {
@@ -412,8 +411,7 @@ def _run_bch_check(params):
                 else algebra.Ordering.NORMAL_FIRST)
     given = algebra.BCHParams(plus=params["xplus"], zero=params["xzero"],
                               minus=params["xminus"], ordering=ordering)
-    converted, round_trip, identity = checks.reordering_check(
-        given, params["dim"], edge_exclude=params["edge_exclude"])
+    converted, round_trip, identity = checks.reordering_check(given, params["dim"])
     results = [
         checks.CheckResult("bch-identity", identity, params["tol"]),
         checks.CheckResult("bch-round-trip", round_trip, 1e-13),

@@ -1,9 +1,10 @@
 """Bessel functions of the first kind, ordinary and modified.
 
 Self-contained evaluators for J_m(x) and I_m(x) at non-negative integer
-order, accurate to better than 1e-12 relative over the supported range
-(order <= 200, |argument| <= 50).  J_m uses Miller's downward recurrence
-normalised with the even-order sum identity
+order, accurate to better than 1e-12 relative for |argument| <= 50 and
+order <= 200.  The J rows take any top order (deep-tail values may
+underflow); only I_m refuses an order above 200.  J_m uses Miller's
+downward recurrence normalised with the even-order sum identity
 
     J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1,
 
@@ -154,17 +155,6 @@ def bessel_j_all(m_max, x):
     and argument range.
     """
     return bessel_j_rows(m_max, [float(x)])[0]
-
-
-def bessel_j(m, x):
-    """Bessel function of the first kind J_m(x).
-
-    Supported for integer 0 <= m <= 200 and |x| <= 50; relative accuracy
-    better than 1e-12 (absolute better than 1e-14 where the value itself
-    is below 1e-2).
-    """
-    _check_order(m)
-    return float(bessel_j_all(m, x)[m])
 
 
 def bessel_i(m, x):

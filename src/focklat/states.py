@@ -25,6 +25,7 @@ are the same rows times i^m (:mod:`focklat.lattice`), since the arrays
 the exponential phase operator".
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -34,8 +35,6 @@ from .algebra import _bessel_top, _rotated_exponential, _two_prod
 from .errors import BesselRootError, NumericError, RangeError
 from .fock import TruncatedOperator, _check_dim
 
-MAX_ALPHA = 20.0  # keeps Bessel arguments 2|alpha| inside the table range
-
 # deformed_annihilation's operator is singular where |J_{n+2}(2 alpha)| is at most this
 # fraction of a neighbouring order: |J_{n+1} / J_{n+2}| >= 1/_ROOT_TOL or |J_{n+2} / J_{n+3}| <= it
 _ROOT_TOL = 1e-10
@@ -44,8 +43,9 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _check_alpha(alpha):
-    if not abs(alpha) <= MAX_ALPHA:
-        raise RangeError(f"|alpha| = {abs(alpha)} exceeds supported maximum {MAX_ALPHA}")
+    top = 0.5 * specfun.MAX_ARGUMENT  # the London rows and I_0 take 2|alpha| up to the limit
+    if not abs(alpha) <= top:
+        raise RangeError(f"|alpha| = {abs(alpha)} exceeds supported maximum {top}")
     return alpha
 
 
@@ -220,7 +220,7 @@ def london_state_ordered(alpha, dim):
     guard g >= 0 putting the order dim + 2g + 1 at or past t, or t levels
     when the state has died out before dim.  The amplitudes from W up are
     then at most |alpha|^m / m! < 2^-60 and are left exactly 0, so the work
-    and memory follow |alpha|, not dim (W <= 86 for |alpha| <= 20).  The
+    and memory follow |alpha|, not dim (W <= 100 for |alpha| <= 25).  The
     bound only sizes the space; no Bessel function is evaluated, so this
     form checks :func:`london_state` independently.
     """
@@ -297,10 +297,13 @@ def su11_perelomov_state(alpha, k, dim):
         c_m = (1 - |mu|^2)^k sqrt(Gamma(2k + m) / (m! Gamma(2k))) mu^m
 
     with mu = (alpha/|alpha|) tanh|alpha| (mu = 0 at alpha = 0): the row of
-    :func:`_su11_rows` at r = |alpha|, times (alpha/|alpha|)^m.
+    :func:`_su11_rows` at r = |alpha|, times (alpha/|alpha|)^m.  No Bessel
+    function enters, so any finite alpha is taken.
     """
     dim = _check_dim(dim)
-    alpha = _check_alpha(complex(alpha))
+    alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise RangeError(f"alpha must be finite, got {alpha}")
     if not (math.isfinite(k) and k > 0):
         raise RangeError(f"Bargmann index must be positive and finite, got {k}")
     if alpha == 0:
@@ -318,12 +321,18 @@ def eigen_residual(op, vec, eigenvalue):
 
     The top level is dropped before taking the norm, since the truncated
     ladder always breaks the relation there.  A state that is not one
-    dimensional of length ``op.dim`` raises ``DimensionError``, and the zero
-    state ``RangeError``.
+    dimensional of length ``op.dim`` raises ``DimensionError``, a non-finite
+    one ``NumericError``, and the zero state or a non-finite eigenvalue
+    ``RangeError``.
     """
     v = fock._as_state(vec, op.dim)
+    if not np.isfinite(v).all():
+        raise NumericError("state holds non-finite amplitudes")
+    eigenvalue = complex(eigenvalue)
+    if not cmath.isfinite(eigenvalue):
+        raise RangeError(f"eigenvalue must be finite, got {eigenvalue}")
     v_norm = np.linalg.norm(v)
     if v_norm == 0.0:
         raise RangeError("state must be nonzero")
-    r = op.apply(v) - complex(eigenvalue) * v
+    r = op.apply(v) - eigenvalue * v
     return float(np.linalg.norm(r[:-1]) / v_norm)

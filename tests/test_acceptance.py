@@ -95,7 +95,7 @@ def test_criterion_03_bch_round_trip():
     assert _report(3, "reordering parameter maps round-trip", ok, f"worst={worst:.3e}")
 
 
-def _inline_reordering_check(given, dim, edge_exclude=None):
+def _inline_reordering_check(given, dim):
     """The reordering check as ``bch-check`` and the algebra suite each wrote it
     inline before both called ``checks.reordering_check``, kept as its reference."""
     if given.ordering is Ordering.ANTINORMAL_FIRST:
@@ -106,7 +106,7 @@ def _inline_reordering_check(given, dim, edge_exclude=None):
         back = algebra.bch_antinormal_to_normal(converted)
     round_trip = max(abs(back.plus - given.plus), abs(back.zero - given.zero),
                      abs(back.minus - given.minus))
-    return converted, round_trip, algebra.verify_bch(given, dim, edge_exclude=edge_exclude)
+    return converted, round_trip, algebra.verify_bch(given, dim)
 
 
 def _check_cells(argv, capsys):
@@ -121,19 +121,17 @@ def _check_cells(argv, capsys):
 def test_criterion_03_cli_residuals_are_the_inline_reordering_check(capsys):
     # the CLI reads Python complex numbers, whose arithmetic is not numpy's to the bit
     rng = np.random.default_rng(20240811)
-    draws = [(BCHParams(*map(complex, (p.plus, p.zero, p.minus)), p.ordering), 16)
+    draws = [BCHParams(*map(complex, (p.plus, p.zero, p.minus)), p.ordering)
              for p in (_draw_params(rng) for _ in range(50))]
-    draws.append((BCHParams(plus=0.2 - 0.1j, zero=0.8j, minus=0.25,
-                            ordering=Ordering.NORMAL_FIRST), None))
-    for given, edge in draws:
+    draws.append(BCHParams(plus=0.2 - 0.1j, zero=0.8j, minus=0.25,
+                           ordering=Ordering.NORMAL_FIRST))
+    for given in draws:
         argv = ["bch-check", *(f"--x{name}={cli.format_complex(getattr(given, name))}"
                                for name in ("plus", "zero", "minus")),
                 "--ordering", "normal" if given.ordering is Ordering.NORMAL_FIRST
                 else "antinormal", "--dim", "64"]
-        if edge is not None:
-            argv.append(f"--edge-exclude={edge}")
         _, cells, diagnostics = _check_cells(argv, capsys)
-        converted, round_trip, identity = _inline_reordering_check(given, 64, edge)
+        converted, round_trip, identity = _inline_reordering_check(given, 64)
         assert cells == {"bch-identity": identity, "bch-round-trip": round_trip}
         assert diagnostics == {f"converted_{name}": cli.format_complex(getattr(converted, name))
                                for name in ("plus", "zero", "minus")}

@@ -157,6 +157,19 @@ def test_map_singularities():
             BCHParams(plus=0.0, zero=1.0, minus=0.0, ordering=Ordering.NORMAL_FIRST))
 
 
+def test_maps_refuse_only_an_exactly_zero_divisor():
+    # A0 - A+ A- ~ 1e-300 = A0 is no singularity: only B0 = den^2 / A0 underflows,
+    # which an absolute cut at 1e-150 reported as a vanishing denominator
+    a = BCHParams(plus=1e-301, zero=1e-300, minus=1e-301, ordering=Ordering.NORMAL_FIRST)
+    with pytest.raises(NumericError, match=r"underflows .*, giving \(0\.1, 0\.0, 0\.1\)$"):
+        algebra.bch_normal_to_antinormal(a)
+    # den = -1e-170i is nonzero, but its square, the divisor of A0, underflows to 0:
+    # a test of den alone let the division raise ZeroDivisionError
+    b = BCHParams(plus=1.0, zero=1 + 1e-170j, minus=1.0, ordering=Ordering.ANTINORMAL_FIRST)
+    with pytest.raises(SingularParameterError):
+        algebra.bch_antinormal_to_normal(b)
+
+
 @pytest.mark.parametrize("ordering", list(Ordering))
 def test_map_overflow_is_a_numeric_error(ordering):
     # the squared denominator, (1 - B+ B0 B-)^2 or (A0 - A+ A-)^2, overflows

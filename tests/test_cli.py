@@ -178,6 +178,38 @@ def test_overflowing_parameters_fail_with_their_exit_code(argv, code, capsys):
     assert status == code and out == "" and "error:" in err
 
 
+@pytest.mark.parametrize("argv,code,message", [
+    # the Bessel-backed families stop where the Bessel rows do, at |alpha| = 25
+    (["state", "--family", "london", "--alpha", "25", "--dim", "128", "--normalize"], 0, ""),
+    (["state", "--family", "bg", "--alpha", "25", "--dim", "128", "--normalize"], 0, ""),
+    (["state", "--family", "london", "--alpha", "25.5", "--dim", "8"], 3,
+     "error: |alpha| = 25.5 exceeds supported maximum 25.0\n"),
+    (["state", "--family", "bg", "--alpha", "-25.5i", "--dim", "8"], 3,
+     "error: |alpha| = 25.5 exceeds supported maximum 25.0\n"),
+    # the displaced vacuum evaluates no Bessel function
+    (["state", "--family", "su11", "--alpha", "30", "--dim", "64"], 0, ""),
+    (["state", "--family", "su11", "--alpha", "nan", "--dim", "8"], 3,
+     "error: alpha must be finite, got (nan+0j)\n"),
+    # A0 - A+ A- is about 1e-300, not zero: B0 = den^2 / A0 is what underflows
+    (["bch-check", "--xplus", "0.1", "--xzero", "1e-300", "--xminus", "0.1", "--dim", "64"], 6,
+     "error: the ordering map over- or underflows double precision, "
+     "giving ((0.1+0j), 0j, (0.1+0j))\n"),
+])
+def test_ceilings_come_from_the_computation(argv, code, message, capsys):
+    status, _, err = run_cli(argv, capsys)
+    assert (status, err) == (code, message)
+
+
+def test_bch_check_has_no_edge_exclusion(tmp_path, capsys):
+    argv = ["bch-check", "--xplus", "0.1", "--xzero", "1", "--xminus", "0.1", "--dim", "64"]
+    status, _, err = run_cli(argv + ["--edge-exclude", "16"], capsys)
+    assert status == 2 and "unknown argument '--edge-exclude'" in err
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text("edge_exclude = 16\n")
+    with pytest.raises(UsageError, match="unknown config keys: edge_exclude"):
+        cli.parse_args(argv + ["--config", str(cfg)])
+
+
 def test_propagate_diagnostics_footer(capsys):
     status, out, _ = run_cli(
         ["propagate", "--lattice", "uniform", "--zmax", "1", "--dim", "32",

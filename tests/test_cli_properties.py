@@ -95,7 +95,6 @@ commands = st.one_of(
         "xminus": complex_literals(small_reals),
         "ordering": st.sampled_from(["antinormal", "normal"]),
         "dim": dims(256),
-        "edge-exclude": _maybe(st.integers(-2, 300).map(str)),
         "tol": _maybe(st.sampled_from(["1e-9", "1e-12", "0", "1e-300", "inf", "nan", "-1"])),
         "format": st.sampled_from(["csv", "json"]),
     }).map(lambda o: _argv("bch-check", o)),

@@ -6,7 +6,7 @@ import pytest
 from mpmath import mp
 
 from focklat import algebra, fock, lattice, specfun, states
-from focklat.errors import BesselRootError, DimensionError, RangeError
+from focklat.errors import BesselRootError, DimensionError, NumericError, RangeError
 
 from oracles import bisect_j_root, expm, peak_bytes, series_j
 
@@ -164,7 +164,7 @@ def test_bg_state_eigenvalue():
 
 def test_bg_state_ordered_form():
     assert np.array_equal(states.bg_state_ordered(0.0, 8), fock.vacuum(8))
-    for alpha in (1.5, 0.4 - 1.1j):
+    for alpha in (1.5, 0.4 - 1.1j, 21.3, -22.5, 25.0, 25j):
         direct = states.bg_state(alpha, 32)
         ordered = states.bg_state_ordered(alpha, 32)
         assert np.abs(direct - ordered).max() <= 1e-9
@@ -182,8 +182,8 @@ def test_london_state_basics():
     assert abs(fock.norm_sq(vec) - 1.0) <= 1e-10
     with pytest.raises(RangeError):
         states.london_state(1 + 2j, 8)
-    with pytest.raises(RangeError):
-        states.london_state(25.0, 8)
+    with pytest.raises(RangeError, match="exceeds supported maximum 25.0"):
+        states.london_state(25.5, 8)
 
 
 def test_london_state_ordered_form():
@@ -200,7 +200,8 @@ def test_london_ordered_matches_complex_expm(alpha, dim):
     assert np.abs(states.london_state_ordered(alpha, dim) - ref).max() <= 1e-14
 
 
-@pytest.mark.parametrize("alpha", [0.25, -0.25, 1.7, -3.0, 8.0, 17.3, 20.0, -20.0])
+@pytest.mark.parametrize("alpha", [0.25, -0.25, 1.7, -3.0, 8.0, 17.3, 20.0, -20.0,
+                                   21.3, -22.5, 25.0, -25.0])
 @pytest.mark.parametrize("dim", [2, 3, 14, 33, 64])
 def test_london_ordered_matches_closed_form(alpha, dim):
     # the guard from the Bessel image bound leaves only rounding
@@ -239,7 +240,7 @@ def test_dimension_ceiling():
 
 
 def test_deformed_annihilation_eigenvalue():
-    for alpha in (0.5, 1.3, 2.0):
+    for alpha in (0.5, 1.3, 2.0, 21.3, -22.5, 25.0):
         vec = states.london_state(alpha, 64)
         op = states.deformed_annihilation(alpha, 64)
         assert states.eigen_residual(op, vec, alpha) <= 1e-8
@@ -325,8 +326,10 @@ def test_su11_perelomov_state():
     assert abs(fock.norm_sq(states.su11_perelomov_state(0.9, 1.3, 256)) - 1.0) <= 1e-10
     with pytest.raises(RangeError):
         states.su11_perelomov_state(1.0, 0.0, 8)
-    with pytest.raises(RangeError):
-        states.su11_perelomov_state(30.0, 0.5, 8)
+    # no Bessel function enters, so only a non-finite alpha is refused
+    for alpha in (math.nan, math.inf, complex(1.0, -math.inf)):
+        with pytest.raises(RangeError, match="alpha must be finite"):
+            states.su11_perelomov_state(alpha, 0.5, 8)
 
 
 @pytest.mark.parametrize("unit", [1, 1j, -1, -1j])
@@ -402,7 +405,7 @@ def _su11_reference(alpha, k, dim):
 
 
 @pytest.mark.parametrize("k", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("alpha", [0.1, 0.8, 10.0, 15.0, 19.0, 20.0, 20j])
+@pytest.mark.parametrize("alpha", [0.1, 0.8, 10.0, 15.0, 19.0, 20.0, 20j, 30.0, 40.0])
 def test_su11_perelomov_state_against_mpmath(alpha, k):
     # 1 - tanh^2|alpha| cancelled: c_0 was off by 33% at |alpha| = 19 and 0 at 20
     vec = states.su11_perelomov_state(alpha, k, 64)
@@ -438,6 +441,12 @@ def test_eigen_residual_basics():
         warnings.simplefilter("error")
         with pytest.raises(RangeError):  # the zero state returned nan with a RuntimeWarning
             states.eigen_residual(ident, np.zeros(8, dtype=complex), 1.0)
+    # a non-finite state or eigenvalue returned nan
+    for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+        with pytest.raises(NumericError):
+            states.eigen_residual(ident, np.r_[v[:7], bad], 1.0)
+        with pytest.raises(RangeError):
+            states.eigen_residual(ident, v, bad)
 
 
 def test_london_amplitudes_match_series_oracle():
