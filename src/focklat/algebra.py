@@ -46,7 +46,10 @@ streamed, one at a time, into per-level accumulators: every partial sum
 of a level is exact, so each level is bitwise its whole sum, in whatever
 order BLAS adds.  Only buffers that a later step reads are held: the
 power tables are freed once each side's powers are copied out, before
-any product, and each slice of P is dropped after its last product.
+any product, each side's powers once it has read them, each slice of P
+after its last product, and the scratch of a slice's remainder update
+once the update is done.  The antinormal-first side, whose sums are the
+longer, is formed first, so no finished block is held beside its slices.
 The outer diagonals only scale finished entries, so they are rounded to
 double.  Powers such as 0.3^-384 or (1e-8)^k leave double range although
 the entries do not, so every power is carried as a mantissa and an
@@ -353,9 +356,11 @@ def _slices(hi, lo, beta, count):
     The slices stream through one buffer: slice s + 1 overwrites slice s,
     so each is used before the next is asked for.  hi and lo are
     overwritten by the remainders, which are kept in place with one more
-    scratch buffer.
+    scratch buffer; it is made in each remainder update and dropped before
+    the next slice is yielded, so while a slice is in use the stream holds
+    that slice's buffer alone.
     """
-    top, bb = np.empty_like(hi), np.empty_like(hi)
+    top = np.empty_like(hi)
     for s in range(count):
         sigma = 1.5 * 2.0 ** (52 - (s + 1) * beta)
         np.add(hi, sigma, out=top)
@@ -365,10 +370,11 @@ def _slices(hi, lo, beta, count):
             return
         hi -= top  # exact
         np.add(hi, lo, out=top)  # hi, lo = _two_sum(hi, lo), the sum in top's buffer
-        np.subtract(top, hi, out=bb)
+        bb = np.subtract(top, hi)
         lo -= bb
         hi -= np.subtract(top, bb, out=bb)
         lo += hi
+        del bb
         hi, top = top, hi
 
 
@@ -407,7 +413,8 @@ def _sliced_product(x, y, mid, left, right):
     one slice at a time, and each x_s y_t (s + t < count) is one BLAS
     product added into level s + t's accumulator.  Every level is bitwise
     the sum of its terms, as if it were one product, while no more than
-    one slice of x is alive.  Only buffers that a later step reads are
+    one slice of x is alive, and no remainder scratch (:func:`_slices`)
+    while its products run.  Only buffers that a later step reads are
     held: the scaling exponents go once applied; slice 0 writes each
     x_0 y_t straight into level t (the first term of every level), so no
     level is zero-filled, and the product scratch is made when slice 1
@@ -499,22 +506,27 @@ def _ordered_blocks(sides, keep, levels, binom):
 
     Every base of every side (:func:`_factorisation`) goes through one
     power pass; the sides share nothing else.  The normal-first sums run
-    over k < keep, the antinormal-first ones over k < levels.
+    over k < keep, the antinormal-first ones over k < levels.  The blocks
+    are formed in the order of ``sides``, and each side's powers are
+    dropped as it reads them; :func:`verify_bch` passes the
+    antinormal-first side first, so its longer sums run beside no finished
+    block.
     """
     forms, monomials = zip(*(_factorisation(params) for params in sides))
     (ph, pl), pe = _cdd_powers(_bases([b for m in monomials for b in m]), levels)
     # the powers each side reads, copied out so that the tables are freed before the
-    # products: keep of each outer diagonal's base and, for a sum, len(q) of w or u
+    # products: keep of each outer diagonal's base and, for a sum, len(q) of w or u;
+    # reversed, so that each side pops its own and drops them once read
     cuts = []
     for params, m in zip(sides, monomials):
         cuts += [keep, keep, keep if params.ordering is Ordering.NORMAL_FIRST else levels][:len(m)]
-    powers = iter([(ph[:, i, :n].copy(), pl[:, i, :n].copy(), pe[i, :n].copy())
-                   for i, n in enumerate(cuts)])
+    powers = [(ph[:, i, :n].copy(), pl[:, i, :n].copy(), pe[i, :n].copy())
+              for i, n in enumerate(cuts)][::-1]
     del ph, pl, pe
     blocks = []
     for params, form in zip(sides, forms):
         # outer diagonals rounded to double; sqrt(zero) joins the left one
-        (lh, _, le), (rh, _, re) = next(powers), next(powers)
+        (lh, _, le), (rh, _, re) = powers.pop(), powers.pop()
         c = cmath.sqrt(params.zero)
         ce = math.frexp(abs(c))[1]
         left = ((lh[0] + 1j * lh[1]) * complex(math.ldexp(c.real, -ce), math.ldexp(c.imag, -ce)),
@@ -525,7 +537,7 @@ def _ordered_blocks(sides, keep, levels, binom):
                 q = binom[0][:keep, :keep].T, binom[1][:keep, :keep].T  # q[k, n] = C(n, k)
             else:
                 q = binom[0][:levels, :keep], binom[1][:levels, :keep]  # q[k, n] = C(k, n)
-            wh, wl, we = next(powers)
+            wh, wl, we = powers.pop()
             factors = (q[0].T, q[1].T), (wh[:, None], wl[:, None])
             # x = q^T diag(w^k) is handed over with no other reference: it is overwritten
             blocks.append(_sliced_product(_dd_mul(*factors), q, we, left, right))
@@ -624,7 +636,8 @@ def verify_bch(params, dim, edge_exclude=None):
     levels = dim + _default_guard(b_side, dim, keep)  # at most _MAX_LEVELS
     binom = _pascal(max(64, 1 << (levels - 1).bit_length()))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        lhs, rhs = _ordered_blocks((a_side, b_side), keep, levels, binom)
+        # the antinormal-first side first: its longer sums run beside no finished block
+        rhs, lhs = _ordered_blocks((b_side, a_side), keep, levels, binom)
     if not (np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))):
         raise NumericError("an ordered product overflows double precision")
     return _block_residual(lhs, rhs)

@@ -365,6 +365,7 @@ def _run_state(params):
         if not (math.isfinite(norm2) and norm2 > 0.0):
             raise NumericError(f"cannot normalise a state of squared norm {norm2}")
         vec = vec / np.sqrt(norm2)
+    vec = vec + 0.0  # turns signed zeros into 0.0, as impulse and propagate print them
     header = ["index", "re", "im", "abs2"]
     rows = _amplitude_rows("", [str(j) for j in range(len(vec))], vec.tolist())
     diagnostics = {"norm2": _f(fock.norm_sq(vec))}

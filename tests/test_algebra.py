@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,14 +279,34 @@ def test_verify_bch_criterion_3_residuals_are_pinned():
 
 
 def test_verify_bch_streams_the_slices_of_x():
-    # draw 41 sets the peak of the 50: 0.98 MB with only live buffers held.
-    # It was 1.11 MB while the power tables, the applied exponents, every y
-    # slice and the product scratch stayed alive through the slice loop,
-    # 1.82 MB with all of x's slices held, and 2.22 MB with the slices
-    # gathered in lists and then concatenated.
+    # draw 41 sets the peak of the 50: 0.89 MB with only live buffers held,
+    # at the first slice of the antinormal-first side, formed first.  It was
+    # 0.98 MB while the slice stream's second scratch array lived through
+    # every slice's products and that side was formed second, beside the
+    # finished normal-first block; 1.11 MB while the power tables, the
+    # applied exponents, every y slice and the product scratch stayed alive
+    # through the slice loop; 1.82 MB with all of x's slices held; and
+    # 2.22 MB with the slices gathered in lists and then concatenated.
     b = _criterion_3_draw(41)
     algebra.verify_bch(b, 64, edge_exclude=16)  # the Pascal table is cached outside the count
-    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 1.02e6
+    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 0.93e6
+
+
+def test_slice_stream_holds_one_array_while_a_slice_is_used():
+    # the remainder update's scratch lives only through the update: while a
+    # slice is in use the stream holds that slice's buffer alone (it held a
+    # second, idle, scratch array of the input's size)
+    rng = np.random.default_rng(7)
+    hi = rng.uniform(-0.5, 0.5, (2, 48, 129))
+    lo = np.ldexp(rng.uniform(-0.5, 0.5, hi.shape), -53)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = [tracemalloc.get_traced_memory()[0] - base
+                for _ in algebra._slices(hi, lo, 20, 8)]
+    finally:
+        tracemalloc.stop()
+    assert [h // hi.nbytes for h in held] == [1] * 8
 
 
 def test_operators_and_their_checks_at_the_ceiling_take_o_n_memory():
@@ -304,11 +325,13 @@ def test_operators_and_their_checks_at_the_ceiling_take_o_n_memory():
 
 
 def test_verify_bch_peak_at_dim_256():
-    # the documented bch-check input: 11.2 MB with only live buffers held,
-    # 12.2 MB with the dead ones kept, 17.0 MB with x's slices held
+    # the documented bch-check input: 10.2 MB with only live buffers held,
+    # 11.2 MB with the slice stream's idle scratch array kept through each
+    # slice's products and the antinormal-first side formed second, 12.2 MB
+    # with the dead buffers kept, 17.0 MB with x's slices held
     b = BCHParams(0.1 + 0.05j, 1.0, 0.1, Ordering.ANTINORMAL_FIRST)
     algebra.verify_bch(b, 256)
-    assert peak_bytes(lambda: algebra.verify_bch(b, 256)) <= 11.7e6
+    assert peak_bytes(lambda: algebra.verify_bch(b, 256)) <= 10.7e6
 
 
 # The doubling pass that _cdd_powers replaced, kept as its reference: its

@@ -155,6 +155,23 @@ def test_impulse_su11_far_past_cosh_overflow(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["state", "--family", "bg", "--alpha", "2i", "--dim", "4"],
+    ["state", "--family", "su11", "--alpha", "0-1i", "--dim", "4"],
+])
+def test_state_prints_no_signed_zero(argv, capsys):
+    # these printed -0.0 in one and two cells, where impulse and propagate print 0.0
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    assert "-0.0" not in _cells(out)
+    status, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert status == 0
+    payload = json.loads(out)
+    cells = [str(value) for row in payload["rows"] for value in row.values()]
+    assert len(cells) == 16 and "-0.0" not in cells
+    assert "-0.0" not in payload["diagnostics"].values()
+
+
+@pytest.mark.parametrize("argv", [
     ["state", "--family", "london", "--alpha", "1e-300", "--dim", "4"],
     ["impulse", "--lattice", "uniform", "--zmax", "1e-300", "--dim", "4", "--samples", "1"],
     ["propagate", "--lattice", "uniform", "--zmax", "1e-300", "--dim", "4"],
