@@ -41,22 +41,24 @@ The inner terms reach ~1e10 times the O(1) entries, so w and u and their
 powers are held in double-double arithmetic (Dekker, Numer. Math. 18,
 1971) and the inner products are formed from error-free slice products
 in BLAS (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012), with
-P real on the right.  P's slices are held and the left factor's are
-streamed, one at a time, into per-level accumulators: every partial sum
-of a level is exact, so each level is bitwise its whole sum, in whatever
-order BLAS adds.  Only buffers that a later step reads are held: the
-power tables are freed once each side's powers are copied out, before
-any product, each side's powers once it has read them, each slice of P
-after its last product, and the scratch of a slice's remainder update
-once the update is done.  The antinormal-first side, whose sums are the
-longer, is formed first, so no finished block is held beside its slices.
-The outer diagonals only scale finished entries, so they are rounded to
-double.  Powers such as 0.3^-384 or (1e-8)^k leave double range although
-the entries do not, so every power is carried as a mantissa and an
-integer binary exponent, and the exponents enter only the power-of-two
-scalings of the slice products.  Neither side is rewritten through a
-hypergeometric transformation: that rewriting is the identity under
-test.
+P real on the right.  So the left factor is formed as its real and
+imaginary parts, two independent real products against the same P.
+P's slices are held, and each part's are streamed, one at a time, into
+per-level accumulators: every partial sum of a level is exact, so each
+level is bitwise its whole sum, in whatever order BLAS adds.  Only
+buffers that a later step reads are held: the power tables are freed
+once each side's powers are copied out, before any product, each side's
+powers once it has read them, each part of the left factor once it is
+sliced, each slice of P after its last product, and the scratch of a
+slice's remainder update once the update is done.  The antinormal-first
+side, whose sums are the longer, is formed first, so no finished block
+is held beside its slices.  The outer diagonals only scale finished
+entries, so they are rounded to double.  Powers such as 0.3^-384 or
+(1e-8)^k leave double range although the entries do not, so every power
+is carried as a mantissa and an integer binary exponent, and the
+exponents enter only the power-of-two scalings of the slice products.
+Neither side is rewritten through a hypergeometric transformation: that
+rewriting is the identity under test.
 """
 
 import cmath
@@ -84,6 +86,7 @@ _MAX_LEVELS = 1024
 # log k! for k <= _MAX_LEVELS, the terms' binomials in _default_guard
 _LOG_FACTORIALS = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, _MAX_LEVELS + 1)))))
 _LOG_FACTORIALS.setflags(write=False)
+_LOG_ROUNDOFF = -53 * math.log(2)  # log 2^-53, the tail that _default_guard leaves out
 
 
 @dataclass(frozen=True)
@@ -396,11 +399,13 @@ def _cldexp(z, e):
 def _sliced_product(x, y, mid, left, right):
     """diag(l) x diag(2^mid) y diag(r), as complex doubles.
 
-    x (p, q) is complex double-double, y (q, r) real double-double, ``mid``
-    an integer exponent per summation index, and the outer diagonals l and
-    r are complex doubles given as (mantissas, integer exponents).  Only
-    the exponents enter the scaling, so no factor need be representable on
-    its own: only the final entries must be.  x's arrays are overwritten.
+    x (p, q) is complex, handed over as a list of its real and imaginary
+    parts, each a real double-double pair; y (q, r) is real double-double,
+    ``mid`` an integer exponent per summation index, and the outer
+    diagonals l and r are complex doubles given as (mantissas, integer
+    exponents).  Only the exponents enter the scaling, so no factor need
+    be representable on its own: only the final entries must be.  x is
+    emptied and its arrays overwritten.
 
     A power of two along the summation index first balances the two
     factors, so that rows whose large entries meet zeros do not push the
@@ -411,23 +416,27 @@ def _sliced_product(x, y, mid, left, right):
     every partial sum of a level is exact, whatever order it is added in.
     So y's slices are held and x's streamed: x is scaled in place and cut
     one slice at a time, and each x_s y_t (s + t < count) is one BLAS
-    product added into level s + t's accumulator.  Every level is bitwise
-    the sum of its terms, as if it were one product, while no more than
-    one slice of x is alive, and no remainder scratch (:func:`_slices`)
-    while its products run.  Only buffers that a later step reads are
-    held: the scaling exponents go once applied; slice 0 writes each
-    x_0 y_t straight into level t (the first term of every level), so no
-    level is zero-filled, and the product scratch is made when slice 1
-    starts; y_(count-1-s) is dropped as soon as slice s is done, since
-    that was its last product.  y is real, so every product is a real one
-    on the real and imaginary parts of x.  The levels are summed in
-    double-double down to 2^-60 of the scale of the *final* entries, the
-    outer diagonals included (at most eight slices: past that the tables
-    carry no more digits).
+    product added into level s + t's accumulator.  y is real, so the two
+    parts of x are independent real products against the same slices of
+    y: each part is cut and summed on its own, and dropped once it is
+    sliced.  Every level is bitwise the sum of its terms, as if it were
+    one product, while no more than one slice of one part of x is alive,
+    and no remainder scratch (:func:`_slices`) while its products run.
+    Only buffers that a later step reads are held: the scaling exponents
+    go once applied; slice 0 writes each x_0 y_t straight into level t
+    (the first term of every level), so no level is zero-filled, and the
+    product scratch is made when slice 1 starts; in the last part,
+    y_(count-1-s) is dropped as soon as slice s is done, since that was
+    its last product.  A part's levels are summed in double-double once
+    its slices are done, down to 2^-60 of the scale of the *final*
+    entries, the outer diagonals included (at most eight slices: past
+    that the tables carry no more digits), and the complex output is
+    formed only after the last part.
     """
-    (xh, xl), (yh, yl) = x, y
+    (yh, yl), ((xr, _), (xi, _)) = y, x
     (lm, le), (rm, re) = left, right
-    ex = _exponents(np.maximum(np.abs(xh[0]), np.abs(xh[1]))) + mid[None, :]
+    ex = _exponents(np.maximum(np.abs(xr), np.abs(xi))) + mid[None, :]
+    del xr, xi
     ey = _exponents(np.abs(yh))
     bal = ((ey + re[None, :]).max(axis=1) - (ex + le[:, None]).max(axis=0)) // 2
     row = (ex + bal[None, :]).max(axis=1)  # exponents of x diag(2^(mid + bal)), per row
@@ -443,28 +452,35 @@ def _sliced_product(x, y, mid, left, right):
     ys = [yt.copy() for yt in _slices(yh, yl, beta, count)]
     del yh, yl  # with the stream's buffers, freed before x is cut
     xe = _int32((mid + bal)[None, :] - row[:, None])
-    np.ldexp(xh, xe, out=xh)
-    np.ldexp(xl, xe, out=xl)
-    del xe
-    levels = np.empty((count, 2, p, r))  # levels[s + t] gathers the products x_s y_t
-    part = None
-    for s, xs in enumerate(_slices(xh, xl, beta, count)):
-        if s == 1:  # scratch for the products of every later slice
-            part = np.empty((2, p, r))
-        for t, yt in enumerate(ys):
-            if s == 0:  # x_0 y_t is level t's first term, so the levels need no zero fill
-                np.matmul(xs, yt, out=levels[t])
-            else:
-                levels[s + t] += np.matmul(xs, yt, out=part)
-        del yt
-        ys.pop()  # y_(count-1-s): its last product was with x_s
-    del x, xh, xl, xs, part  # only the levels are alive for their sum
-    hi = lo = 0.0
-    for level in levels:
-        hi, err = _two_sum(hi, level)
-        lo = lo + err
-    out = hi + lo
-    out = (out[0] + 1j * out[1]) * lm[:, None] * rm[None, :]
+    for half in x:
+        for a in half:
+            np.ldexp(a, xe, out=a)
+    del xe, half, a
+    sums = []  # each part's level sum
+    while x:
+        xh, xl = x.pop(0)
+        levels = np.empty((count, p, r))  # levels[s + t] gathers the products x_s y_t
+        part = None
+        for s, xs in enumerate(_slices(xh, xl, beta, count)):
+            if s == 1:  # scratch for the products of every later slice
+                part = np.empty((p, r))
+            for t, yt in enumerate(ys[:count - s]):
+                if s == 0:  # x_0 y_t is level t's first term, so the levels need no zero fill
+                    np.matmul(xs, yt, out=levels[t])
+                else:
+                    levels[s + t] += np.matmul(xs, yt, out=part)
+            del yt
+            if not x:  # the last part: y_(count-1-s)'s last product was with x_s
+                ys.pop()
+        del xh, xl, xs, part  # only the levels are alive for their sum
+        hi = lo = 0.0
+        for level in levels:
+            hi, err = _two_sum(hi, level)
+            lo = lo + err
+        del levels, level, err
+        sums.append(hi + lo)
+        del hi, lo
+    out = (sums[0] + 1j * sums[1]) * lm[:, None] * rm[None, :]
     return _cldexp(out, (row + le)[:, None] + (col + re)[None, :])
 
 
@@ -506,11 +522,13 @@ def _ordered_blocks(sides, keep, levels, binom):
 
     Every base of every side (:func:`_factorisation`) goes through one
     power pass; the sides share nothing else.  The normal-first sums run
-    over k < keep, the antinormal-first ones over k < levels.  The blocks
-    are formed in the order of ``sides``, and each side's powers are
-    dropped as it reads them; :func:`verify_bch` passes the
-    antinormal-first side first, so its longer sums run beside no finished
-    block.
+    over k < keep, the antinormal-first ones over k < levels.  A sum's left
+    factor P^T diag(w^k) is formed as two real double-double arrays, one
+    per part of w^k, and handed to :func:`_sliced_product`, which slices
+    them one part at a time.  The blocks are formed in the order of
+    ``sides``, and each side's powers are dropped as it reads them;
+    :func:`verify_bch` passes the antinormal-first side first, so
+    its longer sums run beside no finished block.
     """
     forms, monomials = zip(*(_factorisation(params) for params in sides))
     (ph, pl), pe = _cdd_powers(_bases([b for m in monomials for b in m]), levels)
@@ -538,15 +556,32 @@ def _ordered_blocks(sides, keep, levels, binom):
             else:
                 q = binom[0][:levels, :keep], binom[1][:levels, :keep]  # q[k, n] = C(k, n)
             wh, wl, we = powers.pop()
-            factors = (q[0].T, q[1].T), (wh[:, None], wl[:, None])
-            # x = q^T diag(w^k) is handed over with no other reference: it is overwritten
-            blocks.append(_sliced_product(_dd_mul(*factors), q, we, left, right))
+            # x = q^T diag(w^k) as its real and imaginary parts, which the product empties
+            x = [_dd_mul((q[0].T, q[1].T), (wh[c], wl[c])) for c in (0, 1)]
+            del wh, wl
+            blocks.append(_sliced_product(x, q, we, left, right))
         else:
             table = {"lower": binom[0][:keep, :keep], "upper": binom[0][:keep, :keep].T,
                      "diagonal": np.eye(keep)}[form]
             blocks.append(_cldexp(left[0][:, None] * table * right[0][None, :],
                                   left[1][:, None] + right[1][None, :]))
     return blocks
+
+
+def _log_tail_bounds(params, k, keep, log_factorial):
+    """Logs of :func:`_default_guard`'s tail bounds t_k / (1 - rho_k) at the levels k (a column).
+
+    inf where rho_k >= 1; ``log_factorial(n)`` is log n!, entrywise.
+    """
+    m = np.arange(keep)
+    q = abs(params.plus * params.minus * params.zero)
+    logc = log_factorial(k) - log_factorial(m) - log_factorial(k - m)
+    log_t = ((logc + (k - m) * math.log(abs(params.minus))).max(axis=1)
+             + (logc + (k - m) * math.log(abs(params.plus))).max(axis=1)
+             + (k[:, 0] + 0.5) * math.log(abs(params.zero)))
+    rho = q * ((k[:, 0] + 1) / (k[:, 0] + 2 - keep)) ** 2
+    shrinks = rho < 1
+    return np.where(shrinks, log_t - np.log1p(-np.where(shrinks, rho, 0.0)), np.inf)
 
 
 def _default_guard(params, dim, keep):
@@ -559,26 +594,48 @@ def _default_guard(params, dim, keep):
     so once rho_k < 1 the terms from k on sum to at most t_k / (1 - rho_k),
     t_k the largest term at k on the block.  The guard is the first k >= dim
     at which that bound falls below 2^-53, one unit roundoff of the
-    residual's normalisation (which is at least 1).
+    residual's normalisation (which is at least 1).  Where that k is past
+    1024 levels and q < 1, the error names it (:func:`_levels_needed`).
     """
     if params.plus == 0 or params.minus == 0:
         return 0  # each sum ends at k = max(m, n) < keep
-    logf = _LOG_FACTORIALS
-    m = np.arange(keep)
-    q = abs(params.plus * params.minus * params.zero)
     for start in range(dim, _MAX_LEVELS + 1, 128):
         k = np.arange(start, min(start + 128, _MAX_LEVELS + 1))[:, None]
-        logc = logf[k] - logf[m] - logf[k - m]
-        log_t = ((logc + (k - m) * math.log(abs(params.minus))).max(axis=1)
-                 + (logc + (k - m) * math.log(abs(params.plus))).max(axis=1)
-                 + (k[:, 0] + 0.5) * math.log(abs(params.zero)))
-        rho = q * ((k[:, 0] + 1) / (k[:, 0] + 2 - keep)) ** 2
-        shrinks = rho < 1
-        done = shrinks & (log_t - np.log1p(-np.where(shrinks, rho, 0.0)) <= -53 * math.log(2))
+        done = _log_tail_bounds(params, k, keep, _LOG_FACTORIALS.__getitem__) <= _LOG_ROUNDOFF
         if done.any():
             return int(k[done.argmax(), 0]) - dim
-    raise RangeError(f"antinormal-first sums do not fall below 2^-53 within {_MAX_LEVELS} "
-                     f"levels (|B+ B- B0| = {q:.6g})")
+    q = abs(params.plus * params.minus * params.zero)
+    need = _levels_needed(params, keep) if q < 1 else None
+    if need is None:
+        raise RangeError(f"antinormal-first sums do not fall below 2^-53 within {_MAX_LEVELS} "
+                         f"levels (|B+ B- B0| = {q:.6g})")
+    raise RangeError(f"antinormal-first sums need {need} levels to fall below 2^-53, above the "
+                     f"limit of {_MAX_LEVELS} levels (|B+ B- B0| = {q:.6g})")
+
+
+def _levels_needed(params, keep):
+    """The first level k > 1024 at which :func:`_default_guard`'s bound falls below 2^-53.
+
+    Past the table, log n! is ``math.lgamma(n + 1)``.  Where rho_k < 1 the
+    bound falls as k grows (rho_k falls, and t_(k+1) <= rho_k t_k), so the
+    first such k is found by doubling and bisection from 1024, where the
+    guard found the bound above 2^-53.  None past 2^53 levels, where k
+    has no exact double.
+    """
+    log_factorial = np.vectorize(lambda n: math.lgamma(n + 1.0))
+
+    def done(k):
+        return _log_tail_bounds(params, np.array([[k]]), keep, log_factorial)[0] <= _LOG_ROUNDOFF
+
+    lo, hi = _MAX_LEVELS, _MAX_LEVELS + 1
+    while not done(hi):
+        if hi > 1 << 53:
+            return None
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if done(mid) else (mid, hi)
+    return hi
 
 
 def verify_bch(params, dim, edge_exclude=None):
@@ -614,8 +671,9 @@ def verify_bch(params, dim, edge_exclude=None):
         not an integer in [0, dim) (not a bool).
     RangeError
         For non-finite parameters, a dimension above 1024 levels, or
-        antinormal sums that do not converge within 1024 levels
-        (|B+ B- B0| near or above 1).
+        antinormal sums whose tail does not fall below 2^-53 within 1024
+        levels: |B+ B- B0| near or above 1, or a dim near 1024.  When
+        |B+ B- B0| < 1 the message names the levels the sums need.
     NumericError
         If an ordering map or a product overflows double precision.
     """

@@ -279,17 +279,19 @@ def test_verify_bch_criterion_3_residuals_are_pinned():
 
 
 def test_verify_bch_streams_the_slices_of_x():
-    # draw 41 sets the peak of the 50: 0.89 MB with only live buffers held,
-    # at the first slice of the antinormal-first side, formed first.  It was
-    # 0.98 MB while the slice stream's second scratch array lived through
-    # every slice's products and that side was formed second, beside the
-    # finished normal-first block; 1.11 MB while the power tables, the
-    # applied exponents, every y slice and the product scratch stayed alive
-    # through the slice loop; 1.82 MB with all of x's slices held; and
-    # 2.22 MB with the slices gathered in lists and then concatenated.
+    # draw 41 sets the peak of the 50: 0.74 MB with x sliced one real part
+    # at a time, at the first slice of the antinormal-first side, formed
+    # first.  It was 0.89 MB with x's real and imaginary parts sliced
+    # together; 0.98 MB while the slice stream's second scratch array lived
+    # through every slice's products and that side was formed second,
+    # beside the finished normal-first block; 1.11 MB while the power
+    # tables, the applied exponents, every y slice and the product scratch
+    # stayed alive through the slice loop; 1.82 MB with all of x's slices
+    # held; and 2.22 MB with the slices gathered in lists and then
+    # concatenated.
     b = _criterion_3_draw(41)
     algebra.verify_bch(b, 64, edge_exclude=16)  # the Pascal table is cached outside the count
-    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 0.93e6
+    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 0.78e6
 
 
 def test_slice_stream_holds_one_array_while_a_slice_is_used():
@@ -325,13 +327,14 @@ def test_operators_and_their_checks_at_the_ceiling_take_o_n_memory():
 
 
 def test_verify_bch_peak_at_dim_256():
-    # the documented bch-check input: 10.2 MB with only live buffers held,
+    # the documented bch-check input: 7.9 MB with x sliced one real part
+    # at a time, 10.2 MB with x's parts sliced together,
     # 11.2 MB with the slice stream's idle scratch array kept through each
     # slice's products and the antinormal-first side formed second, 12.2 MB
     # with the dead buffers kept, 17.0 MB with x's slices held
     b = BCHParams(0.1 + 0.05j, 1.0, 0.1, Ordering.ANTINORMAL_FIRST)
     algebra.verify_bch(b, 256)
-    assert peak_bytes(lambda: algebra.verify_bch(b, 256)) <= 10.7e6
+    assert peak_bytes(lambda: algebra.verify_bch(b, 256)) <= 8.3e6
 
 
 # The doubling pass that _cdd_powers replaced, kept as its reference: its
@@ -394,8 +397,34 @@ def test_verify_bch_rejects_nan(field):
 def test_verify_bch_divergent_antinormal_sum():
     # |B+ B- B0| = 2: the antinormal-first sums never converge
     b = BCHParams(plus=2.0, zero=1.0, minus=1.0, ordering=Ordering.ANTINORMAL_FIRST)
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=r"^antinormal-first sums do not fall below 2\^-53 "
+                                         r"within 1024 levels \(\|B\+ B- B0\| = 2\)$"):
         algebra.verify_bch(b, 16)
+
+
+@pytest.mark.parametrize("plus,dim", [(0.1, 1024), (0.1 + 0.05j, 1008)])
+def test_verify_bch_names_the_levels_a_converging_sum_needs(plus, dim):
+    # the sums converge at once, but their guard ends one level past the
+    # limit; this read as if they did not fall below 2^-53 at all
+    b = BCHParams(plus=plus, zero=1.0, minus=0.1, ordering=Ordering.ANTINORMAL_FIRST)
+    q = abs(plus) * 0.1
+    with pytest.raises(RangeError) as err:
+        algebra.verify_bch(b, dim)
+    assert str(err.value) == ("antinormal-first sums need 1025 levels to fall below 2^-53, "
+                              f"above the limit of 1024 levels (|B+ B- B0| = {q:.6g})")
+
+
+def test_levels_past_the_limit_continue_the_guard_bound():
+    # math.lgamma continues the bound that the log-factorial table gives
+    # below the limit, and the named level is the first at which it passes
+    b = BCHParams(0.99, 1.0, 0.999, Ordering.ANTINORMAL_FIRST)
+    k = np.arange(900, 1025)[:, None]
+    lgamma = np.vectorize(lambda n: math.lgamma(n + 1.0))
+    table = algebra._log_tail_bounds(b, k, 384, algebra._LOG_FACTORIALS.__getitem__)
+    assert np.allclose(algebra._log_tail_bounds(b, k, 384, lgamma), table, rtol=0, atol=1e-9)
+    need = algebra._levels_needed(b, 384)
+    bounds = algebra._log_tail_bounds(b, np.array([[need - 1], [need]]), 384, lgamma)
+    assert bounds[0] > algebra._LOG_ROUNDOFF >= bounds[1]
 
 
 def test_verify_bch_normal_first_input():
@@ -490,9 +519,9 @@ def test_rotation_conjugation_rejects_bad_input(alpha, dim, error):
 
 
 # The stacked slice product that the streamed one replaced, kept as its
-# reference: every slice of x and of y is held, and each level is one BLAS
-# product of the leading x slices, laid side by side, with the trailing y
-# slices, stacked in reverse.
+# reference: x's real and imaginary parts are stacked, every slice of x and
+# of y is held, and each level is one BLAS product of the leading x slices,
+# laid side by side, with the trailing y slices, stacked in reverse.
 
 def _stacked_slices(hi, lo, beta, out):
     for s, top in enumerate(out):
@@ -505,7 +534,8 @@ def _stacked_slices(hi, lo, beta, out):
 
 
 def _stacked_sliced_product(x, y, mid, left, right):
-    (xh, xl), (yh, yl) = x, y
+    ((rh, rl), (ih, il)), (yh, yl) = x, y
+    xh, xl = np.stack([rh, ih]), np.stack([rl, il])
     (lm, le), (rm, re) = left, right
     ex = algebra._exponents(np.maximum(np.abs(xh[0]), np.abs(xh[1]))) + mid[None, :]
     ey = algebra._exponents(np.abs(yh))
@@ -547,8 +577,17 @@ def _stacked_sliced_product(x, y, mid, left, right):
 ])
 def test_streamed_slices_give_the_stacked_residuals(params, dim, monkeypatch):
     streamed = algebra.verify_bch(params, dim)
-    monkeypatch.setattr(algebra, "_sliced_product", _stacked_sliced_product)
+    calls = []
+
+    def stacked(*args):
+        calls.append(1)
+        return _stacked_sliced_product(*args)
+
+    monkeypatch.setattr(algebra, "_sliced_product", stacked)
     assert algebra.verify_bch(params, dim) == streamed
+    # the reference formed both sides; a zero ladder parameter makes both
+    # single terms, which no slice product forms
+    assert len(calls) == (0 if 0 in (params.plus, params.minus) else 2)
 
 
 # The gather route that verify_bch's factorised sums replaced, kept as their

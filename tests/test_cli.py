@@ -211,6 +211,17 @@ def test_overflowing_parameters_fail_with_their_exit_code(argv, code, capsys):
     (["bch-check", "--xplus", "0.1", "--xzero", "1e-300", "--xminus", "0.1", "--dim", "64"], 6,
      "error: the ordering map over- or underflows double precision, "
      "giving ((0.1+0j), 0j, (0.1+0j))\n"),
+    # sums that converge at once, with a guard one level past the 1024-level limit
+    (["bch-check", "--xplus", "0.1", "--xzero", "1", "--xminus", "0.1", "--dim", "1024"], 3,
+     "error: antinormal-first sums need 1025 levels to fall below 2^-53, above the limit of "
+     "1024 levels (|B+ B- B0| = 0.01)\n"),
+    (["bch-check", "--xplus", "0.1+0.05i", "--xzero", "1", "--xminus", "0.1", "--dim", "1008"], 3,
+     "error: antinormal-first sums need 1025 levels to fall below 2^-53, above the limit of "
+     "1024 levels (|B+ B- B0| = 0.0111803)\n"),
+    # sums that never converge
+    (["bch-check", "--xplus", "2", "--xzero", "1", "--xminus", "1", "--dim", "16"], 3,
+     "error: antinormal-first sums do not fall below 2^-53 within 1024 levels "
+     "(|B+ B- B0| = 2)\n"),
 ])
 def test_ceilings_come_from_the_computation(argv, code, message, capsys):
     status, _, err = run_cli(argv, capsys)
