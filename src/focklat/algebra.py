@@ -44,19 +44,19 @@ in BLAS (Ozaki, Ogita, Oishi & Rump, Numer. Algorithms 59, 2012), with
 P real on the right.  So the left factor is formed as its real and
 imaginary parts, two independent real products against the same P.
 P's slices are held, and each part's are streamed, one at a time, into
-per-level accumulators: every partial sum of a level is exact, so each
-level is bitwise its whole sum, in whatever order BLAS adds.  Only
-buffers that a later step reads are held: the power tables are freed
-once each side's powers are copied out, before any product, each side's
-powers once it has read them, each part of the left factor once it is
-sliced, each slice of P after its last product, and the scratch of a
-slice's remainder update once the update is done.  The antinormal-first
-side, whose sums are the longer, is formed first, so no finished block
-is held beside its slices.  The outer diagonals only scale finished
-entries, so they are rounded to double.  Powers such as 0.3^-384 or
-(1e-8)^k leave double range although the entries do not, so every power
-is carried as a mantissa and an integer binary exponent, and the
-exponents enter only the power-of-two scalings of the slice products.
+zero-filled per-level accumulators: every partial sum of a level is
+exact, so each level is bitwise its whole sum, in whatever order BLAS
+adds.  Only buffers that a later step reads are held: the power tables
+are freed once each side's powers are copied out, before any product,
+each side's powers once it has read them, each part of the left factor
+once it is sliced, and the scratch of a slice's remainder update once
+the update is done.  The antinormal-first side, whose sums are the
+longer, is formed first, so no finished block is held beside its
+slices.  The outer diagonals only scale finished entries, so they are
+rounded to double.  Powers such as 0.3^-384 or (1e-8)^k leave double
+range although the entries do not, so every power is carried as a
+mantissa and an integer binary exponent, and the exponents enter only
+the power-of-two scalings of the slice products.
 Neither side is rewritten through a hypergeometric transformation: that
 rewriting is the identity under test.
 """
@@ -416,22 +416,19 @@ def _sliced_product(x, y, mid, left, right):
     every partial sum of a level is exact, whatever order it is added in.
     So y's slices are held and x's streamed: x is scaled in place and cut
     one slice at a time, and each x_s y_t (s + t < count) is one BLAS
-    product added into level s + t's accumulator.  y is real, so the two
-    parts of x are independent real products against the same slices of
-    y: each part is cut and summed on its own, and dropped once it is
-    sliced.  Every level is bitwise the sum of its terms, as if it were
-    one product, while no more than one slice of one part of x is alive,
-    and no remainder scratch (:func:`_slices`) while its products run.
-    Only buffers that a later step reads are held: the scaling exponents
-    go once applied; slice 0 writes each x_0 y_t straight into level t
-    (the first term of every level), so no level is zero-filled, and the
-    product scratch is made when slice 1 starts; in the last part,
-    y_(count-1-s) is dropped as soon as slice s is done, since that was
-    its last product.  A part's levels are summed in double-double once
-    its slices are done, down to 2^-60 of the scale of the *final*
-    entries, the outer diagonals included (at most eight slices: past
-    that the tables carry no more digits), and the complex output is
-    formed only after the last part.
+    product added into level s + t's zero-filled accumulator.  y is real,
+    so the two parts of x are independent real products against the same
+    slices of y: each part is cut and summed on its own, and dropped once
+    it is sliced.  Every level is bitwise the sum of its terms, as if it
+    were one product, while no more than one slice of one part of x is
+    alive, and no remainder scratch (:func:`_slices`) while its products
+    run.  Only buffers that a later step reads are held: the scaling
+    exponents go once applied, and y's double-double pair once it is
+    sliced.  A part's levels are summed in double-double once its slices
+    are done, down to 2^-60 of the scale of the *final* entries, the
+    outer diagonals included (at most eight slices: past that the tables
+    carry no more digits), and the complex output is formed only after
+    the last part.
     """
     (yh, yl), ((xr, _), (xi, _)) = y, x
     (lm, le), (rm, re) = left, right
@@ -459,27 +456,17 @@ def _sliced_product(x, y, mid, left, right):
     sums = []  # each part's level sum
     while x:
         xh, xl = x.pop(0)
-        levels = np.empty((count, p, r))  # levels[s + t] gathers the products x_s y_t
-        part = None
+        levels = np.zeros((count, p, r))  # levels[s + t] gathers the products x_s y_t
         for s, xs in enumerate(_slices(xh, xl, beta, count)):
-            if s == 1:  # scratch for the products of every later slice
-                part = np.empty((p, r))
             for t, yt in enumerate(ys[:count - s]):
-                if s == 0:  # x_0 y_t is level t's first term, so the levels need no zero fill
-                    np.matmul(xs, yt, out=levels[t])
-                else:
-                    levels[s + t] += np.matmul(xs, yt, out=part)
-            del yt
-            if not x:  # the last part: y_(count-1-s)'s last product was with x_s
-                ys.pop()
-        del xh, xl, xs, part  # only the levels are alive for their sum
+                levels[s + t] += xs @ yt
+        del xh, xl, xs  # only the levels are alive for their sum
         hi = lo = 0.0
         for level in levels:
             hi, err = _two_sum(hi, level)
             lo = lo + err
         del levels, level, err
         sums.append(hi + lo)
-        del hi, lo
     out = (sums[0] + 1j * sums[1]) * lm[:, None] * rm[None, :]
     return _cldexp(out, (row + le)[:, None] + (col + re)[None, :])
 
@@ -525,10 +512,12 @@ def _ordered_blocks(sides, keep, levels, binom):
     over k < keep, the antinormal-first ones over k < levels.  A sum's left
     factor P^T diag(w^k) is formed as two real double-double arrays, one
     per part of w^k, and handed to :func:`_sliced_product`, which slices
-    them one part at a time.  The blocks are formed in the order of
-    ``sides``, and each side's powers are dropped as it reads them;
-    :func:`verify_bch` passes the antinormal-first side first, so
-    its longer sums run beside no finished block.
+    them one part at a time.  A single-term block is its Pascal table,
+    or the identity for the diagonal form, between the outer diagonals.
+    The blocks are formed in the order of ``sides``, and each side's
+    powers are dropped as it reads them; :func:`verify_bch` passes the
+    antinormal-first side first, so its longer sums run beside no
+    finished block.
     """
     forms, monomials = zip(*(_factorisation(params) for params in sides))
     (ph, pl), pe = _cdd_powers(_bases([b for m in monomials for b in m]), levels)
@@ -561,8 +550,8 @@ def _ordered_blocks(sides, keep, levels, binom):
             del wh, wl
             blocks.append(_sliced_product(x, q, we, left, right))
         else:
-            table = {"lower": binom[0][:keep, :keep], "upper": binom[0][:keep, :keep].T,
-                     "diagonal": np.eye(keep)}[form]
+            pascal = binom[0][:keep, :keep]
+            table = pascal if form == "lower" else pascal.T if form == "upper" else np.eye(keep)
             blocks.append(_cldexp(left[0][:, None] * table * right[0][None, :],
                                   left[1][:, None] + right[1][None, :]))
     return blocks

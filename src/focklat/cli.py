@@ -68,19 +68,8 @@ def parse_complex(text):
             return complex(float(s), 0.0)
         except ValueError:
             raise UsageError(f"cannot parse {text!r} as a number (use a+bi for complex)")
-    body = s[:-1]
-    split = -1
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "eE":
-            split = pos
-            break
-    re_part, im_part = (body[:split], body[split:]) if split > 0 else ("0", body or "+")
-    if im_part in ("+", ""):
-        im_part = "1"
-    elif im_part == "-":
-        im_part = "-1"
-    try:
-        return complex(float(re_part or "0"), float(im_part))
+    try:  # Python's complex grammar, with i for j
+        return complex(s[:-1] + "j")
     except ValueError:
         raise UsageError(f"cannot parse {text!r} as a+bi")
 

@@ -20,13 +20,13 @@ arrays "are solved through the use of nonlinear coherent states of SU(1,1)
 or the exponential phase operator": the responses are i^m times the
 SU(1,1) displaced vacuum at k = 1/2 and r = z, and i^m times the London
 (shift-operator) state at alpha = z, and they are computed as exactly that
-(the real rows of :mod:`focklat.states` and the exact i^m table
-:func:`_quarter_turns`).  Propagation diagonalises H once and is exact up
-to rounding, so what that comparison measures is the truncation of the
-array.  H has a zero diagonal, so its spectrum is symmetric about 0
+(the real rows of :mod:`focklat.states` and the exact signs of i^m,
+:func:`algebra._turn_signs`).  Propagation diagonalises H once and is
+exact up to rounding, so what that comparison measures is the truncation
+of the array.  H has a zero diagonal, so its spectrum is symmetric about 0
 (eigenvector u at lam, (-1)^m u at -lam) and the products of
 :func:`propagate` run over the positive half alone, in real arithmetic on
-the even and odd guides; it never passes through the i^m table.
+the even and odd guides; it never passes through i^m.
 """
 
 import math
@@ -109,17 +109,6 @@ def build_hamiltonian(spec):
     g, band = _couplings(spec)
     return TruncatedOperator(spec.dim, {-1: np.append(0.0, g), 1: np.append(g, 0.0)},
                              edge_band=band)
-
-
-def _quarter_turns(dim):
-    """Q = diag(i^m) for m < dim, as its diagonal: the exact signs
-    (-1)^floor(m/2) of :func:`algebra._turn_signs` on 1 (even m) or i (odd m).
-    """
-    signs = _turn_signs(dim)
-    turns = np.zeros(dim, dtype=complex)
-    turns.real[0::2] = signs[0::2]
-    turns.imag[1::2] = signs[1::2]
-    return turns
 
 
 def sample_grid(zmax, samples):
@@ -222,7 +211,6 @@ def propagate(spec, input_field, zmax, samples=200):
         power = np.abs(block)
         power *= power  # |E|^2 in place; x ** 2 is x * x
         drift = max(drift, np.abs(np.sum(power, axis=1) - norm0).max())
-        del power
         edge = np.maximum(np.abs(block[:, -1]) ** 2, leak)
         over = np.flatnonzero(edge > LEAKAGE_LIMIT)
         if over.size:  # the first sample past the limit; its running max is edge[over[0]]
@@ -266,13 +254,19 @@ def _closed_form_rows(spec, zs):
 def impulse_profiles(spec, zs):
     """Closed-form response of all guides to unit input at guide 0, at every z.
 
-    Returns shape (len(zs), dim): Q times the real rows of the SU(1,1)
+    Returns shape (len(zs), dim): i^m times the real rows of the SU(1,1)
     displaced vacuum at k = 1/2 (:func:`states._su11_rows`) or of the
     London state (:func:`states._london_rows`), whose Bessel rows come
     from one batched downward pass.  The uniform closed form stops at
-    z = 25, where its Bessel argument 2z leaves the Bessel table.
+    z = 25, where its Bessel argument 2z leaves the Bessel table.  i^m r_m
+    is the signed row (-1)^floor(m/2) r_m (:func:`algebra._turn_signs`),
+    real on the even guides and imaginary on the odd ones.
     """
-    out = _quarter_turns(spec.dim) * _closed_form_rows(spec, zs)
+    rows = _closed_form_rows(spec, zs)
+    rows *= _turn_signs(spec.dim)
+    out = np.zeros(rows.shape, dtype=complex)
+    out.real[:, 0::2] = rows[:, 0::2]
+    out.imag[:, 1::2] = rows[:, 1::2]
     out += 0.0  # turns signed zeros into 0.0, as propagate prints them
     return out
 

@@ -279,19 +279,14 @@ def test_verify_bch_criterion_3_residuals_are_pinned():
 
 
 def test_verify_bch_streams_the_slices_of_x():
-    # draw 41 sets the peak of the 50: 0.74 MB with x sliced one real part
-    # at a time, at the first slice of the antinormal-first side, formed
-    # first.  It was 0.89 MB with x's real and imaginary parts sliced
-    # together; 0.98 MB while the slice stream's second scratch array lived
-    # through every slice's products and that side was formed second,
-    # beside the finished normal-first block; 1.11 MB while the power
-    # tables, the applied exponents, every y slice and the product scratch
-    # stayed alive through the slice loop; 1.82 MB with all of x's slices
-    # held; and 2.22 MB with the slices gathered in lists and then
-    # concatenated.
+    # draw 41 sets the peak of the 50, 0.725 MB: y's slices are held, one
+    # real part of x is streamed a slice at a time into the levels, the
+    # antinormal-first side is formed first, and no buffer outlives the
+    # step that reads it (the module docstring lists them).  Dropping any
+    # one of those steps raises the peak to between 0.73 and 0.83 MB.
     b = _criterion_3_draw(41)
     algebra.verify_bch(b, 64, edge_exclude=16)  # the Pascal table is cached outside the count
-    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 0.78e6
+    assert peak_bytes(lambda: algebra.verify_bch(b, 64, edge_exclude=16)) <= 0.74e6
 
 
 def test_slice_stream_holds_one_array_while_a_slice_is_used():
@@ -327,11 +322,10 @@ def test_operators_and_their_checks_at_the_ceiling_take_o_n_memory():
 
 
 def test_verify_bch_peak_at_dim_256():
-    # the documented bch-check input: 7.9 MB with x sliced one real part
-    # at a time, 10.2 MB with x's parts sliced together,
-    # 11.2 MB with the slice stream's idle scratch array kept through each
-    # slice's products and the antinormal-first side formed second, 12.2 MB
-    # with the dead buffers kept, 17.0 MB with x's slices held
+    # the documented bch-check input, 7.95 MB with the buffer steps of
+    # test_verify_bch_streams_the_slices_of_x; holding a part of x past its
+    # slices, forming the normal-first side first or holding the levels
+    # past their sum raises it to between 8.5 and 10.0 MB
     b = BCHParams(0.1 + 0.05j, 1.0, 0.1, Ordering.ANTINORMAL_FIRST)
     algebra.verify_bch(b, 256)
     assert peak_bytes(lambda: algebra.verify_bch(b, 256)) <= 8.3e6
