@@ -83,10 +83,10 @@ from .fock import TruncatedOperator
 # k < 1024 is finite in double precision.
 _MAX_LEVELS = 1024
 
-# log k! for k <= _MAX_LEVELS, the terms' binomials in _default_guard
+# log k! for k <= _MAX_LEVELS, the terms' binomials in _antinormal_levels
 _LOG_FACTORIALS = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, _MAX_LEVELS + 1)))))
 _LOG_FACTORIALS.setflags(write=False)
-_LOG_ROUNDOFF = -53 * math.log(2)  # log 2^-53, the tail that _default_guard leaves out
+_LOG_ROUNDOFF = -53 * math.log(2)  # log 2^-53, the tail that _antinormal_levels leaves out
 
 
 @dataclass(frozen=True)
@@ -557,73 +557,66 @@ def _ordered_blocks(sides, keep, levels, binom):
     return blocks
 
 
-def _log_tail_bounds(params, k, keep, log_factorial):
-    """Logs of :func:`_default_guard`'s tail bounds t_k / (1 - rho_k) at the levels k (a column).
-
-    inf where rho_k >= 1; ``log_factorial(n)`` is log n!, entrywise.
-    """
-    m = np.arange(keep)
-    q = abs(params.plus * params.minus * params.zero)
-    logc = log_factorial(k) - log_factorial(m) - log_factorial(k - m)
-    log_t = ((logc + (k - m) * math.log(abs(params.minus))).max(axis=1)
-             + (logc + (k - m) * math.log(abs(params.plus))).max(axis=1)
-             + (k[:, 0] + 0.5) * math.log(abs(params.zero)))
-    rho = q * ((k[:, 0] + 1) / (k[:, 0] + 2 - keep)) ** 2
-    shrinks = rho < 1
-    return np.where(shrinks, log_t - np.log1p(-np.where(shrinks, rho, 0.0)), np.inf)
+def _log_factorials(lo, hi):
+    """log n! for lo <= n < hi: the table's entries, and math.lgamma(n + 1) past it."""
+    past = [math.lgamma(n + 1.0) for n in range(max(lo, len(_LOG_FACTORIALS)), hi)]
+    return np.concatenate((_LOG_FACTORIALS[lo:hi], past)) if past else _LOG_FACTORIALS[lo:hi]
 
 
-def _default_guard(params, dim, keep):
-    """Levels past ``dim`` at which the antinormal-first sums may stop.
+def _antinormal_levels(params, dim, keep):
+    """Levels k >= ``dim`` over which the antinormal-first sums run.
 
     Entry (m, n) of exp(B- K-) B0^K0 exp(B+ K+) sums, over k >= max(m, n),
     terms of size C(k, m) C(k, n) |B-|^(k-m) |B+|^(k-n) |B0|^(k+1/2).  On the
     retained block (m, n < keep) each term is at most
     rho_k = q ((k+1) / (k+2-keep))^2 times the one before, q = |B+ B- B0|,
     so once rho_k < 1 the terms from k on sum to at most t_k / (1 - rho_k),
-    t_k the largest term at k on the block.  The guard is the first k >= dim
-    at which that bound falls below 2^-53, one unit roundoff of the
-    residual's normalisation (which is at least 1).  Where that k is past
-    1024 levels and q < 1, the error names it (:func:`_levels_needed`).
+    t_k the largest term at k on the block.  The sums stop at the first
+    k >= dim at which that bound is at most 2^-53, one unit roundoff of the
+    residual's normalisation (which is at least 1).
+
+    One search finds it: k doubles from dim until the bound passes, and
+    bisection narrows the last step.  The bound is +inf while rho_k >= 1
+    and strictly falls after (rho_k falls, t_(k+1) <= rho_k t_k), so
+    passing is monotone in k and bisection ends on the level a scan from
+    dim finds.  rho_k >= q (keep >= 1), so q >= 1 is refused before any
+    level is looked at; a k past 1024 is refused with its count, and none
+    is sought past 2^53, where k has no exact double.  log n! is the
+    table's, or math.lgamma's past it; the terms in m alone are formed
+    once.  When B+ or B- vanishes each sum ends at max(m, n) < keep.
     """
     if params.plus == 0 or params.minus == 0:
-        return 0  # each sum ends at k = max(m, n) < keep
-    for start in range(dim, _MAX_LEVELS + 1, 128):
-        k = np.arange(start, min(start + 128, _MAX_LEVELS + 1))[:, None]
-        done = _log_tail_bounds(params, k, keep, _LOG_FACTORIALS.__getitem__) <= _LOG_ROUNDOFF
-        if done.any():
-            return int(k[done.argmax(), 0]) - dim
+        return dim
     q = abs(params.plus * params.minus * params.zero)
-    need = _levels_needed(params, keep) if q < 1 else None
-    if need is None:
-        raise RangeError(f"antinormal-first sums do not fall below 2^-53 within {_MAX_LEVELS} "
-                         f"levels (|B+ B- B0| = {q:.6g})")
-    raise RangeError(f"antinormal-first sums need {need} levels to fall below 2^-53, above the "
-                     f"limit of {_MAX_LEVELS} levels (|B+ B- B0| = {q:.6g})")
-
-
-def _levels_needed(params, keep):
-    """The first level k > 1024 at which :func:`_default_guard`'s bound falls below 2^-53.
-
-    Past the table, log n! is ``math.lgamma(n + 1)``.  Where rho_k < 1 the
-    bound falls as k grows (rho_k falls, and t_(k+1) <= rho_k t_k), so the
-    first such k is found by doubling and bisection from 1024, where the
-    guard found the bound above 2^-53.  None past 2^53 levels, where k
-    has no exact double.
-    """
-    log_factorial = np.vectorize(lambda n: math.lgamma(n + 1.0))
+    diverges = RangeError(f"antinormal-first sums do not fall below 2^-53 within {_MAX_LEVELS} "
+                          f"levels (|B+ B- B0| = {q:.6g})")
+    if q >= 1:
+        raise diverges
+    logs = [math.log(abs(v)) for v in (params.minus, params.plus)]
+    log_zero = math.log(abs(params.zero))
+    # -log m! - m log|B-+|, one row per side; the rest of C(k, m) |B-+|^(k-m) depends on k
+    lifted = -_LOG_FACTORIALS[:keep] - np.arange(keep) * np.array(logs)[:, None]
 
     def done(k):
-        return _log_tail_bounds(params, np.array([[k]]), keep, log_factorial)[0] <= _LOG_ROUNDOFF
+        rho = q * ((k + 1) / (k + 2 - keep)) ** 2
+        if rho >= 1:
+            return False
+        lf = _log_factorials(k + 1 - keep, k + 1)  # log (k - m)! is lf[keep - 1 - m]
+        top = (lifted - lf[::-1]).max(axis=1)
+        log_t = sum(lf[-1] + k * g + t for g, t in zip(logs, top)) + (k + 0.5) * log_zero
+        return log_t - math.log1p(-rho) <= _LOG_ROUNDOFF
 
-    lo, hi = _MAX_LEVELS, _MAX_LEVELS + 1
+    lo, hi = dim - 1, dim  # the bound at lo is taken to be above 2^-53
     while not done(hi):
         if hi > 1 << 53:
-            return None
+            raise diverges
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if done(mid) else (mid, hi)
+    if hi > _MAX_LEVELS:
+        raise RangeError(f"antinormal-first sums need {hi} levels to fall below 2^-53, above the "
+                         f"limit of {_MAX_LEVELS} levels (|B+ B- B0| = {q:.6g})")
     return hi
 
 
@@ -645,10 +638,11 @@ def verify_bch(params, dim, edge_exclude=None):
     underflows where the entries are representable.  The entries carry an
     absolute error of about 2^-53 of the normalisation plus 2^-100 of the
     largest term; on |X+-| <= 0.3 the residual is ~1e-14.  The
-    normal-first sums are finite.  The antinormal-first sums run over
-    dim plus the smallest guard whose dropped tail is provably below 2^-53
-    (:func:`_default_guard`; zero when B+ or B- vanishes, where each block
-    is a single term), found within dim + guard <= 1024.
+    normal-first sums are finite.  The antinormal-first sums run to the
+    first level k >= dim whose dropped tail is provably at most 2^-53 (dim
+    when B+ or B- vanishes), found by one doubling and bisection search
+    (:func:`_antinormal_levels`): the tail bound falls monotonically in k,
+    so bisection ends on the level a scan from dim would find.
 
     The principal logarithm of the zero-parameter is used on both sides;
     sweeps crossing arg = +-pi must unwrap externally.
@@ -680,7 +674,7 @@ def verify_bch(params, dim, edge_exclude=None):
     else:
         a_side, b_side = bch_antinormal_to_normal(params), params
     keep = dim - b
-    levels = dim + _default_guard(b_side, dim, keep)  # at most _MAX_LEVELS
+    levels = _antinormal_levels(b_side, dim, keep)  # at most _MAX_LEVELS
     binom = _pascal(max(64, 1 << (levels - 1).bit_length()))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         # the antinormal-first side first: its longer sums run beside no finished block

@@ -239,16 +239,21 @@ def _mix(cos, x, sin, y):
 
 
 def _closed_form_rows(spec, zs):
-    """The real rows r_m(z), m < dim, of the closed forms i^m r_m(z), at every z."""
+    """The signed rows (-1)^floor(m/2) r_m(z), m < dim, of the closed forms i^m r_m(z).
+
+    i^m r_m is that row (:func:`algebra._turn_signs`) on the even guides and
+    i times it on the odd ones.
+    """
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 1:
         raise RangeError(f"z must be one-dimensional, got shape {zs.shape}")
     bad = ~(np.isfinite(zs) & (zs >= 0))
     if bad.any():
         raise RangeError(f"z must be finite and non-negative, got {zs[bad][0]}")
-    if spec.kind is LatticeKind.SU11:
-        return states._su11_rows(zs, 0.5, spec.dim)
-    return states._london_rows(zs, spec.dim, "z")
+    rows = (states._su11_rows(zs, 0.5, spec.dim) if spec.kind is LatticeKind.SU11
+            else states._london_rows(zs, spec.dim, "z"))
+    rows *= _turn_signs(spec.dim)
+    return rows
 
 
 def impulse_profiles(spec, zs):
@@ -259,11 +264,10 @@ def impulse_profiles(spec, zs):
     London state (:func:`states._london_rows`), whose Bessel rows come
     from one batched downward pass.  The uniform closed form stops at
     z = 25, where its Bessel argument 2z leaves the Bessel table.  i^m r_m
-    is the signed row (-1)^floor(m/2) r_m (:func:`algebra._turn_signs`),
-    real on the even guides and imaginary on the odd ones.
+    is the signed row of :func:`_closed_form_rows`, real on the even guides
+    and imaginary on the odd ones.
     """
     rows = _closed_form_rows(spec, zs)
-    rows *= _turn_signs(spec.dim)
     out = np.zeros(rows.shape, dtype=complex)
     out.real[:, 0::2] = rows[:, 0::2]
     out.imag[:, 1::2] = rows[:, 1::2]
@@ -286,8 +290,8 @@ def compare_to_oracle(result, spec):
     exist for every input guide; guides inside the Hamiltonian's edge band
     are excluded from it.  The closed
     form i^m r_m is real on the even guides and imaginary on the odd ones,
-    so each parity is compared against its signed real rows,
-    (-1)^floor(m/2) r_m (:func:`algebra._turn_signs`): the modulus of the
+    so each parity is compared against its signed real rows
+    (:func:`_closed_form_rows`): the modulus of the
     difference is the hypot of (re - expected, im) on the even guides and
     (im - expected, re) on the odd ones, which is exactly |re - expected|
     or |im - expected| where the other component is 0, as :func:`propagate`
@@ -302,7 +306,6 @@ def compare_to_oracle(result, spec):
         raise UnsupportedOracleError("the comparison takes unit input at guide 0 only")
     keep = spec.dim - _couplings(spec)[1]
     rows = _closed_form_rows(spec, result.z_grid)
-    rows *= _turn_signs(spec.dim)
     worst = []
     for parity, (on, off) in enumerate([(result.fields.real, result.fields.imag),
                                         (result.fields.imag, result.fields.real)]):

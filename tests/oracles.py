@@ -1,5 +1,6 @@
 """Extended-precision series oracles, independent of the library code,
-the dense matrix exponential, and the tests' one memory probe.
+the dense matrix exponential, a linear scan for the reordering check's
+guard, and the tests' one memory probe.
 
 Both Bessel kinds are summed directly from their ascending power series
 with mpmath at a working precision padded well past the worst alternating
@@ -7,10 +8,12 @@ cancellation in the checked range, so these values are trustworthy to far
 better than the tolerances they back.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 from mpmath import mp
 
 from focklat.errors import NumericError
@@ -30,6 +33,34 @@ def expm(op, scale=1.0):
     if not np.all(np.isfinite(mat.view(float))) or not np.isfinite(abs(scale)):
         raise NumericError("operator contains non-finite entries")
     return scipy.linalg.expm(mat * scale)
+
+
+def guard_log_bound(params, k, keep):
+    """log of the antinormal-first tail bound t_k / (1 - rho_k) at each level of ``k``.
+
+    t_k = max over m, n < keep of C(k, m) C(k, n) |B-|^(k-m) |B+|^(k-n)
+    |B0|^(k+1/2), and rho_k = q ((k+1) / (k+2-keep))^2 with q = |B+ B- B0|;
+    inf where rho_k >= 1.  log n! is scipy's gammaln, on the whole grid at once.
+    """
+    k = np.asarray(k, dtype=float)[:, None]
+    m = np.arange(keep)[None, :]
+    lf = scipy.special.gammaln
+    logc = lf(k + 1) - lf(m + 1) - lf(k - m + 1)
+    log_t = sum((logc + (k - m) * math.log(abs(x))).max(axis=1)
+                for x in (params.minus, params.plus))
+    log_t = log_t + (k[:, 0] + 0.5) * math.log(abs(params.zero))
+    q = abs(params.plus * params.minus * params.zero)
+    rho = q * ((k[:, 0] + 1) / (k[:, 0] + 2 - keep)) ** 2
+    shrinks = rho < 1
+    return np.where(shrinks, log_t - np.log1p(-np.where(shrinks, rho, 0.0)), np.inf)
+
+
+def guard_scan(params, dim, keep):
+    """The first level k in [dim, 1024] at which :func:`guard_log_bound` is at most
+    2^-53, found by trying every level in turn; None if there is none."""
+    k = np.arange(dim, 1025)
+    done = guard_log_bound(params, k, keep) <= -53 * math.log(2)
+    return int(k[done.argmax()]) if done.any() else None
 
 
 def peak_bytes(call):

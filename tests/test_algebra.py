@@ -1,8 +1,11 @@
+import cmath
+import collections
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.special
 
 from focklat import algebra, checks, fock
 from focklat.algebra import BCHParams, Ordering
@@ -14,7 +17,7 @@ from focklat.errors import (
     SingularParameterError,
 )
 
-from oracles import expm, peak_bytes
+from oracles import expm, guard_log_bound, guard_scan, peak_bytes
 
 
 @pytest.fixture(scope="module")
@@ -408,17 +411,74 @@ def test_verify_bch_names_the_levels_a_converging_sum_needs(plus, dim):
                               f"above the limit of 1024 levels (|B+ B- B0| = {q:.6g})")
 
 
+def _guard(params, dim, keep):
+    """The levels the antinormal-first sums run over, or the message that refuses them."""
+    try:
+        return algebra._antinormal_levels(params, dim, keep)
+    except RangeError as err:
+        return str(err)
+
+
+def _need_message(need, q):
+    return (f"antinormal-first sums need {need} levels to fall below 2^-53, above the "
+            f"limit of 1024 levels (|B+ B- B0| = {q:.6g})")
+
+
+def _passes_first_at(params, keep, need):
+    """Whether the oracle's bound passes 2^-53 at ``need`` and not one level before."""
+    before, at = guard_log_bound(params, [need - 1, need], keep)
+    return at <= -53 * math.log(2) < before
+
+
+def test_guard_matches_a_linear_scan():
+    # every level, refusal and message of the one search against a plain scan
+    # of the same bound, with log n! from scipy's gammaln instead of the table
+    rng = np.random.default_rng(31)
+    kinds = collections.Counter()
+    for dim in (2, 3, 8, 64, 100, 256):
+        keep = dim - math.ceil(dim / 4)
+        for _ in range(40):
+            plus = cmath.rect(1.2 * math.sqrt(rng.uniform()), 2 * math.pi * rng.uniform())
+            zero = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(-2.9, 2.9))
+            minus = cmath.rect(1.2 * math.sqrt(rng.uniform()), 2 * math.pi * rng.uniform())
+            b = BCHParams(plus, zero, minus, Ordering.ANTINORMAL_FIRST)
+            q = abs(b.plus * b.minus * b.zero)
+            got, level = _guard(b, dim, keep), guard_scan(b, dim, keep)
+            if level is not None:
+                kinds["levels"] += 1
+                assert got == level
+            elif q >= 1:
+                kinds["diverges"] += 1
+                assert got == ("antinormal-first sums do not fall below 2^-53 within 1024 levels "
+                               f"(|B+ B- B0| = {q:.6g})")
+            else:
+                kinds["need"] += 1
+                need = int(got.split()[3])
+                assert need > 1024 and got == _need_message(need, q)
+                assert _passes_first_at(b, keep, need)
+    assert kinds == {"levels": 119, "diverges": 80, "need": 41}
+
+
+@pytest.mark.parametrize("plus,zero,minus,dim,need", [
+    (0.1 + 0.05j, 1.0, 0.1, 1008, 1025),  # the documented input
+    (0.7, 1.5, 0.9, 1024, 182223),
+])
+def test_guard_names_the_first_level_past_the_limit(plus, zero, minus, dim, need):
+    b = BCHParams(plus, zero, minus, Ordering.ANTINORMAL_FIRST)
+    keep = dim - math.ceil(dim / 4)
+    assert _guard(b, dim, keep) == _need_message(need, abs(plus * minus * zero))
+    assert _passes_first_at(b, keep, need)
+
+
 def test_levels_past_the_limit_continue_the_guard_bound():
-    # math.lgamma continues the bound that the log-factorial table gives
-    # below the limit, and the named level is the first at which it passes
+    # math.lgamma continues the log-factorial table past the limit, and the
+    # named level is the first at which the bound passes
+    n = np.arange(900, 1200)
+    assert np.allclose(algebra._log_factorials(900, 1200), scipy.special.gammaln(n + 1.0),
+                       rtol=0, atol=1e-9)
     b = BCHParams(0.99, 1.0, 0.999, Ordering.ANTINORMAL_FIRST)
-    k = np.arange(900, 1025)[:, None]
-    lgamma = np.vectorize(lambda n: math.lgamma(n + 1.0))
-    table = algebra._log_tail_bounds(b, k, 384, algebra._LOG_FACTORIALS.__getitem__)
-    assert np.allclose(algebra._log_tail_bounds(b, k, 384, lgamma), table, rtol=0, atol=1e-9)
-    need = algebra._levels_needed(b, 384)
-    bounds = algebra._log_tail_bounds(b, np.array([[need - 1], [need]]), 384, lgamma)
-    assert bounds[0] > algebra._LOG_ROUNDOFF >= bounds[1]
+    need = int(_guard(b, 512, 384).split()[3])
+    assert need > 1024 and _passes_first_at(b, 384, need)
 
 
 def test_verify_bch_normal_first_input():
@@ -678,7 +738,7 @@ def _both_routes(b, dim, edge_exclude=None):
     """Worst |factorised - gather| over both sides, over the normalisation."""
     keep = dim - (math.ceil(dim / 4) if edge_exclude is None else edge_exclude)
     a = algebra.bch_antinormal_to_normal(b)
-    levels = dim + algebra._default_guard(b, dim, keep)
+    levels = algebra._antinormal_levels(b, dim, keep)
     binom = algebra._pascal(max(64, 1 << (levels - 1).bit_length()))
     worst = 0.0
     for side in (a, b):
