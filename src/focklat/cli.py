@@ -143,7 +143,7 @@ class RunConfig:
 def _load_config_file(path):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

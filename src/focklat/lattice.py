@@ -113,12 +113,16 @@ def build_hamiltonian(spec):
 
 def sample_grid(zmax, samples):
     """The z values of :func:`propagate`, ``np.linspace(0, zmax, samples + 1)``, for
-    a finite ``zmax >= 0`` and an integer ``samples >= 1`` (not a bool)."""
+    a finite ``zmax >= 0`` and an integer ``1 <= samples < 2^53`` (not a bool).
+    linspace counts its points in doubles, exact only up to 2^53, so a larger
+    count raises :class:`RangeError` rather than a bare numpy error."""
     if not (math.isfinite(zmax) and zmax >= 0):
         raise RangeError(f"zmax must be finite and non-negative, got {zmax}")
     if (not isinstance(samples, (int, np.integer)) or isinstance(samples, bool)
             or samples < 1):
         raise RangeError(f"samples must be a positive integer, got {samples!r}")
+    if samples >= 2**53:
+        raise RangeError(f"samples must be below 2^53 = {2**53}, got {samples}")
     return np.linspace(0.0, zmax, samples + 1)
 
 
@@ -166,7 +170,7 @@ def propagate(spec, input_field, zmax, samples=200):
         at any sample; rerun with a larger array.
     RangeError
         For a zero input, a negative or non-finite ``zmax``, or a ``samples``
-        that is not a positive integer.
+        that is not a positive integer below 2^53.
     """
     v = np.asarray(input_field, dtype=complex).copy()
     if v.shape != (spec.dim,):

@@ -8,8 +8,10 @@ factor maps the first dim levels into themselves and a raising one never
 moves a higher level down into them, so the product of the factors
 truncated to dim levels gives exactly the first dim amplitudes of the
 untruncated product: no guard levels are needed.  Their ladder factors are
-nilpotent, so each exponential is a finite Taylor sum, applied term by
-term as a ladder shift (:func:`_ladder_exp`).  The London state,
+nilpotent, so each factor's action on the vacuum is read off its exact
+table: a lowering factor fixes |0>, the diagonal one scales it by its
+level-0 entry, and a raising factor gives its vacuum column, a finite
+Taylor sum (:func:`_raising_column`).  The London state,
 exp(alpha (Vdag - V))|0>, mixes raising and lowering: it is the first
 column of the one spectral kernel for that exponential, the rotation
 check's left side (:func:`algebra._rotated_exponential`), on the levels the
@@ -82,35 +84,23 @@ def phase_state(phi, dim):
     return _phase_factors(float(phi), dim) / math.sqrt(_TWO_PI)
 
 
-def _ladder_exp(vec, x, weights, raising):
-    """exp(x L) vec for the ladder L|n> = weights[n] |n +- 1> on len(vec) levels.
+def _raising_column(c0, x, weights):
+    """exp(x L) c0|0> for the raising ladder L|n> = weights[n] |n + 1> on len(weights) levels.
 
-    ``raising`` picks |n + 1> (the top level is shifted out) or |n - 1>
-    (level 0 is).  L is nilpotent, so the Taylor sum is finite: its terms
-    x^j L^j vec / j! are formed one shift at a time, and the sum stops at
-    the first term that is exactly zero.  Each shift touches only the span
-    of levels where the term can be nonzero, so a narrow support costs
-    O(len(vec)) in all rather than O(len(vec)^2).
+    L is nilpotent, so this is the exact finite table of the vacuum column:
+    amplitude j is c0 x^j w_0 ... w_{j-1} / j!, formed from amplitude j - 1
+    as ``term * (w[j-1:j] / j) * x``.  Each is added into zeros, which
+    turns a -0 part into +0, and the table stops at the first amplitude
+    that is exactly zero.
     """
-    n = len(vec)
-    out = vec.copy()
-    live = np.flatnonzero(vec)
-    if live.size == 0:
-        return out
-    lo, hi = live[0], live[-1] + 1  # the term is zero outside levels [lo, hi)
-    term = vec[lo:hi]
-    for j in range(1, n):
-        if raising:  # level k takes level k - 1; the top level is shifted out
-            top = min(hi, n - 1)
-            term = term[:top - lo] * (weights[lo:top] / j) * x
-            lo, hi = lo + 1, top + 1
-        else:  # level k takes level k + 1; level 0 is shifted out
-            bottom = max(lo, 1)
-            term = term[bottom - lo:] * (weights[bottom:hi] / j) * x
-            lo, hi = bottom - 1, hi - 1
+    out = np.zeros(len(weights), dtype=complex)
+    out[0] = c0
+    term = out[:1]
+    for j in range(1, len(weights)):
+        term = term * (weights[j - 1:j] / j) * x
         if not term.any():
             break
-        out[lo:hi] += term
+        out[j:j + 1] += term
     return out
 
 
@@ -121,16 +111,16 @@ def phase_state_perelomov(phi, dim):
 
     on exactly dim levels.  The product is raising times diagonal times
     lowering on the vacuum, so its truncation is exact (module docstring).
-    exp(i phi K0) is the exponentials of its diagonal, and the K- and K+
-    factors are finite ladder sums (:func:`_ladder_exp`).  Agrees with
-    :func:`phase_state` to rounding.
+    Each factor's action on the vacuum is read off its exact table: the K-
+    factor fixes |0>, exp(i phi K0) multiplies it by its level-0 phase, and
+    the K+ factor gives the vacuum column :func:`_raising_column`.  The
+    angles :func:`phase_state` refuses raise the same :class:`RangeError`.
+    Agrees with :func:`phase_state` to rounding.
     """
     dim = _check_dim(dim)
     phases = _phase_factors(float(phi), dim)
-    n = np.arange(dim, dtype=float)
-    u = _ladder_exp(fock.vacuum(dim), -np.exp(-1j * phi), n, raising=False)  # <n-1|K-|n> = n
-    u = phases * u
-    u = _ladder_exp(u, np.exp(1j * phi), n + 1, raising=True)  # <n+1|K+|n> = n + 1
+    # K-|0> = 0, so exp(-e^{-i phi} K-) leaves the vacuum as it is
+    u = _raising_column(phases[0], np.exp(1j * phi), np.arange(1.0, dim + 1))  # <n+1|K+|n> = n + 1
     return u / math.sqrt(_TWO_PI)
 
 
@@ -156,14 +146,14 @@ def bg_state_ordered(alpha, dim):
         I_0(2|alpha|)^{-1/2} exp(alpha Vdag) exp(-conj(alpha) V) |0>,
 
     on exactly dim levels: raising times lowering on the vacuum, so the
-    truncation is exact (module docstring), and both factors are finite
-    ladder sums (:func:`_ladder_exp`).
+    truncation is exact (module docstring).  Each factor's action on the
+    vacuum is read off its exact table: the V factor fixes |0>, and the
+    Vdag factor gives the vacuum column :func:`_raising_column`.
     """
     dim = _check_dim(dim)
     alpha = _check_alpha(complex(alpha))
-    ones = np.ones(dim)
-    u = _ladder_exp(fock.vacuum(dim), -np.conj(alpha), ones, raising=False)
-    u = _ladder_exp(u, alpha, ones, raising=True)
+    # V|0> = 0, so exp(-conj(alpha) V) leaves the vacuum as it is
+    u = _raising_column(1.0, alpha, np.ones(dim))
     return u / math.sqrt(specfun.bessel_i(0, 2.0 * abs(alpha)))
 
 

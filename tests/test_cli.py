@@ -341,6 +341,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         cli.parse_args(["state", "--config", str(cfg), "--phi", "0", "--dim", "4"])
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    # the UnicodeDecodeError escaped with exit 1 and a traceback
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"family = phase\nphi = 0\xff\n")
+    status, out, err = run_cli(["state", "--config", str(cfg), "--dim", "4"], capsys)
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "state.csv"
     status, out, _ = run_cli(

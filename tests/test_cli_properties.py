@@ -152,6 +152,12 @@ def _numeric_values(out):
 @example(argv=["verify", "--suite", "all", "--dim", "-1"])
 # numpy refused the seed with a raw ValueError, which exited 1
 @example(argv=["verify", "--suite", "algebra", "--seed", "-1"])
+# linspace raised a raw ValueError (too many points) or IndexError (samples + 1
+# past int64), which exited 1
+@example(argv=["impulse", "--lattice", "su11", "--zmax", "1", "--dim", "4",
+               "--samples", "99999999999999999999"])
+@example(argv=["propagate", "--lattice", "su11", "--zmax", "1", "--dim", "4",
+               "--samples", "9223372036854775807"])
 def test_every_command_exits_with_a_readme_code_and_finite_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

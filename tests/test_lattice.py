@@ -67,8 +67,11 @@ def test_propagation_input_validation():
     for zmax in (-1.0, math.nan, math.inf):
         with pytest.raises(RangeError):
             lattice.propagate(spec, fock.vacuum(8), zmax=zmax)
-    # np.linspace raised a raw TypeError for the first three, and True ran as 1
-    for samples in (2.5, np.float64(4.0), "3", True, False, None, 0, -2):
+    # np.linspace raised a raw TypeError for the first three, and True ran as 1;
+    # counts no machine can hold raised a raw ValueError, or an IndexError from
+    # about 2^63 - 512, where the count rounds to 2^63 as a double
+    for samples in (2.5, np.float64(4.0), "3", True, False, None, 0, -2,
+                    2**62, 2**63 - 2, 2**63 - 1, np.int64(2**63 - 1), 10**20):
         with pytest.raises(RangeError):
             lattice.propagate(spec, fock.vacuum(8), zmax=0.5, samples=samples)
     assert lattice.propagate(spec, fock.vacuum(8), 0.5, samples=np.int64(3)).fields.shape == (4, 8)

@@ -104,8 +104,8 @@ def test_phase_angle_overflow_is_a_range_error(build, phi):
 
 
 def _whole_array_ladder_exp(vec, x, weights, raising):
-    """The ladder sum that shifts whole arrays, kept as the reference of
-    :func:`states._ladder_exp`, which shifts only the live support."""
+    """exp(x L) vec for the ladder L|n> = weights[n] |n +- 1>, a Taylor sum
+    that shifts the whole array each term and stops at an exactly zero one."""
     out = vec.copy()
     term = vec
     for j in range(1, len(vec)):
@@ -121,17 +121,36 @@ def _whole_array_ladder_exp(vec, x, weights, raising):
     return out
 
 
-@pytest.mark.parametrize("dim", [2, 3, 33, 256, 1024])
-def test_ladder_sums_on_the_live_support_are_the_whole_array_loop(dim, monkeypatch):
-    cases = [(states.phase_state_perelomov, [0.0, 0.7, math.pi - 0.1, -3.0]),
-             (states.bg_state_ordered, [0.0, 1e-3, 1 + 0.5j, -3j, 20.0])]
-    for build, params in cases:
+def _whole_array_phase_state(phi, dim):
+    # every factor of the ordered product applied to the whole vector
+    n = np.arange(dim, dtype=float)
+    u = _whole_array_ladder_exp(fock.vacuum(dim), -np.exp(-1j * phi), n, raising=False)
+    u = states._phase_factors(float(phi), dim) * u
+    u = _whole_array_ladder_exp(u, np.exp(1j * phi), n + 1, raising=True)
+    return u / math.sqrt(2 * math.pi)
+
+
+def _whole_array_bg_state(alpha, dim):
+    ones = np.ones(dim)
+    u = _whole_array_ladder_exp(fock.vacuum(dim), -np.conj(alpha), ones, raising=False)
+    u = _whole_array_ladder_exp(u, alpha, ones, raising=True)
+    return u / math.sqrt(specfun.bessel_i(0, 2.0 * abs(alpha)))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 33, 256, 1024, 4096])
+def test_ladder_sums_on_the_live_support_are_the_whole_array_loop(dim):
+    # the builders sum each raising term on its one live level of the vacuum
+    # column; the reference applies the lowering factor, the K0 phases and
+    # the raising factor in turn to the whole vector
+    cases = [(states.phase_state_perelomov, _whole_array_phase_state,
+              [0.0, 0.7, math.pi - 0.1, -3.0]),
+             (states.bg_state_ordered, _whole_array_bg_state,
+              [0.0, 1e-3, 1 + 0.5j, -3j, 20.0, 25j, -22.5, 1e-300, 5e-324, -0.0])]
+    for build, reference, params in cases:
         for param in params:
-            new = build(param, dim)
-            with monkeypatch.context() as patch:
-                patch.setattr(states, "_ladder_exp", _whole_array_ladder_exp)
-                old = build(param, dim)
-            assert new.tobytes() == old.tobytes()  # bitwise, signed zeros included
+            # bitwise, signed zeros included: -3j, 25j and -22.5 have terms
+            # with a -0 part, which adding into zeros turns into +0
+            assert build(param, dim).tobytes() == reference(param, dim).tobytes(), param
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf])
