@@ -4,7 +4,9 @@ Self-contained evaluators for J_m(x) and I_m(x) at non-negative integer
 order, accurate to better than 1e-12 relative for |argument| <= 50 and
 order <= 200.  The J rows take any top order (deep-tail values may
 underflow); only I_m refuses an order above 200.  J_m uses Miller's
-downward recurrence normalised with the even-order sum identity
+downward recurrence, one pass over all arguments in argument order, each
+row seeded at its own start and rescaled on its own, normalised with the
+even-order sum identity
 
     J_0(x) + 2 * sum_{k>=1} J_{2k}(x) = 1,
 
@@ -29,10 +31,8 @@ _LEADING_TERM_CUTOFF = 2.0 ** -30
 
 
 def _check_order(m):
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
         raise RangeError(f"order must be a non-negative integer, got {m!r}")
-    if m > MAX_ORDER:
-        raise RangeError(f"order {m} exceeds supported maximum {MAX_ORDER}")
 
 
 def _start_order(m, x):
@@ -45,32 +45,30 @@ def _start_order(m, x):
 def _miller_j(m_max, xs):
     """J_0..J_{m_max} at every x of ``xs`` (all > 0) from one downward pass.
 
-    Row i is seeded at its own start order and rescaled on its own, so it
-    is bitwise the single-argument recurrence at xs[i]; the rows only share
-    the loop over k.  Rows are taken in order of falling start, so the rows
-    under way at step k are a leading block.  Returns shape (len(xs), m_max + 1).
+    Rows run in argument order from the largest start.  Row i holds exact
+    zeros until its own start, is seeded there and rescaled on its own, so it
+    is bitwise the single-argument recurrence at xs[i].  Shape (len(xs), m_max + 1).
     """
     starts = np.array([_start_order(m_max, x) for x in xs])
     starts += starts % 2
-    order = np.argsort(-starts, kind="stable")
-    starts, xs = starts[order], xs[order]
-    f = np.zeros((len(xs), starts[0] + 2))
+    top = starts.max()
+    later = set(starts[starts < top].tolist())  # the start orders below the top
+    f = np.zeros((len(xs), top + 2))
     f[np.arange(len(xs)), starts] = 1e-300
-    live = 0
-    for k in range(starts[0], 0, -1):
-        while live < len(xs) and starts[live] >= k:
-            live += 1
-        col = f[:live, k - 1]
-        np.divide(2.0 * k, xs[:live], out=col)
-        col *= f[:live, k]
-        col -= f[:live, k + 1]
+    for k in range(top, 0, -1):
+        col = f[:, k - 1]
+        np.divide(2.0 * k, xs, out=col)
+        col *= f[:, k]
+        col -= f[:, k + 1]
+        if k - 1 in later:
+            col[starts == k - 1] = 1e-300
         if np.abs(col).max() > _RESCALE:
-            f[:live][np.abs(col) > _RESCALE] *= 1.0 / _RESCALE
+            f[np.abs(col) > _RESCALE] *= 1.0 / _RESCALE
     # each row's own sum, so numpy's pairwise order matches the scalar one
     s = np.array([row[0] + 2.0 * row[2:start + 1:2].sum() for row, start in zip(f, starts)])
     rows = f[:, : m_max + 1]
     rows /= s[:, None]
-    return rows[np.argsort(order)]
+    return rows
 
 
 def _j_ratios(count, x):
@@ -130,8 +128,7 @@ def bessel_j_rows(m_max, xs):
     ndarray
         Shape (len(xs), m_max + 1); row i is bitwise ``bessel_j_all(m_max, xs[i])``.
     """
-    if not isinstance(m_max, (int, np.integer)) or m_max < 0:
-        raise RangeError(f"order must be a non-negative integer, got {m_max!r}")
+    _check_order(m_max)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise RangeError(f"arguments must be one-dimensional, got shape {xs.shape}")
@@ -164,6 +161,8 @@ def bessel_i(m, x):
     accuracy better than 1e-12.
     """
     _check_order(m)
+    if m > MAX_ORDER:
+        raise RangeError(f"order {m} exceeds supported maximum {MAX_ORDER}")
     x = float(x)
     if not 0.0 <= x <= MAX_ARGUMENT:
         raise RangeError(f"argument {x} outside supported range [0, {MAX_ARGUMENT}]")

@@ -1,6 +1,7 @@
 """Extended-precision series oracles, independent of the library code,
 the dense matrix exponential, a linear scan for the reordering check's
-guard, and the tests' one memory probe.
+guard, a Miller pass that sorts its rows by start, and the tests' one
+memory probe.
 
 Both Bessel kinds are summed directly from their ascending power series
 with mpmath at a working precision padded well past the worst alternating
@@ -61,6 +62,36 @@ def guard_scan(params, dim, keep):
     k = np.arange(dim, 1025)
     done = guard_log_bound(params, k, keep) <= -53 * math.log(2)
     return int(k[done.argmax()]) if done.any() else None
+
+
+def miller_j_sorted(m_max, xs, start_order, rescale):
+    """J_0..J_{m_max} at every x of ``xs`` (all > 0) from one downward pass whose rows
+    are sorted by falling start, so the rows under way at step k are a leading block.
+
+    ``start_order(m_max, x)`` gives a row's start before it is rounded up to even,
+    and a row is scaled by 1 / ``rescale`` when a value passes ``rescale``.  The
+    sort is undone at the end, so row i belongs to xs[i].
+    """
+    starts = np.array([start_order(m_max, x) for x in xs])
+    starts += starts % 2
+    order = np.argsort(-starts, kind="stable")
+    starts, xs = starts[order], xs[order]
+    f = np.zeros((len(xs), starts[0] + 2))
+    f[np.arange(len(xs)), starts] = 1e-300
+    live = 0
+    for k in range(starts[0], 0, -1):
+        while live < len(xs) and starts[live] >= k:
+            live += 1
+        col = f[:live, k - 1]
+        np.divide(2.0 * k, xs[:live], out=col)
+        col *= f[:live, k]
+        col -= f[:live, k + 1]
+        if np.abs(col).max() > rescale:
+            f[:live][np.abs(col) > rescale] *= 1.0 / rescale
+    s = np.array([row[0] + 2.0 * row[2:start + 1:2].sum() for row, start in zip(f, starts)])
+    rows = f[:, : m_max + 1]
+    rows /= s[:, None]
+    return rows[np.argsort(order)]
 
 
 def peak_bytes(call):

@@ -159,6 +159,9 @@ def test_map_singularities():
     with pytest.raises(SingularParameterError):
         algebra.bch_antinormal_to_normal(
             BCHParams(plus=0.0, zero=1.0, minus=0.0, ordering=Ordering.NORMAL_FIRST))
+    with pytest.raises(SingularParameterError, match="expected normal-first parameters"):
+        algebra.bch_normal_to_antinormal(
+            BCHParams(plus=0.0, zero=1.0, minus=0.0, ordering=Ordering.ANTINORMAL_FIRST))
 
 
 def test_maps_refuse_only_an_exactly_zero_divisor():

@@ -721,6 +721,13 @@ def test_run_suite_checks_its_dimension(suite, dim, error):
         checks.run_suite(suite, dim=dim)
 
 
+def test_run_suite_names_the_suites_for_an_unknown_one():
+    # the CLI's --suite choices never reach this branch
+    with pytest.raises(RangeError, match=r"unknown suite 'nope'; choose from "
+                                         r"\['algebra', 'lattice', 'specfun', 'states'\] or 'all'"):
+        checks.run_suite("nope")
+
+
 @pytest.mark.parametrize("seed", [-1, 1.5])
 def test_run_suite_checks_its_seed(seed):
     # numpy's default_rng raised its own ValueError or TypeError in the algebra suite

@@ -494,6 +494,8 @@ def test_impulse_profiles_reject_bad_z():
     for bad in (float("nan"), float("inf"), -0.5):
         with pytest.raises(RangeError):
             lattice.impulse_profiles(spec, [0.5, bad])
+    with pytest.raises(RangeError, match=r"z must be one-dimensional, got shape \(1, 2\)"):
+        lattice.impulse_profiles(spec, [[0.5, 1.0]])
 
 
 def test_matrix_methods_have_a_dimension_ceiling():

@@ -4,7 +4,7 @@ import pytest
 from focklat import specfun
 from focklat.errors import RangeError
 
-from oracles import series_i, series_j
+from oracles import miller_j_sorted, series_i, series_j
 
 
 def test_j_at_zero_argument():
@@ -158,6 +158,8 @@ def test_batched_rows_range_errors():
         specfun.bessel_j_rows(4, [1.0, 50.5])
     with pytest.raises(RangeError):
         specfun.bessel_j_rows(4, [float("nan")])
+    with pytest.raises(RangeError, match=r"one-dimensional, got shape \(2, 1\)"):
+        specfun.bessel_j_rows(4, [[1.0], [2.0]])
 
 
 def test_rows_top_orders_must_match_the_arguments():
@@ -165,3 +167,37 @@ def test_rows_top_orders_must_match_the_arguments():
     for m_max in ([4, 5], np.array([4, 5]), [4], -1, 4.0):
         with pytest.raises(RangeError):
             specfun.bessel_j_rows(m_max, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 64, 400])
+def test_argument_order_pass_is_bitwise_the_sorted_pass(m_max):
+    # the reference sorts its rows by falling start and undoes the sort at the end;
+    # rows in argument order, each zero until its own start, give the same bytes.
+    # |x| > 20 moves the start above m_max + 50, so the batches mix starts
+    rng = np.random.default_rng(33 + m_max)
+    for _ in range(30):
+        xs = np.exp(rng.uniform(np.log(1e-6), np.log(50.0), int(rng.integers(1, 40))))
+        batches = [xs, np.sort(xs), np.sort(xs)[::-1], np.repeat(xs, 2), xs[:1],
+                   rng.permutation(np.concatenate([xs, xs[::2]]))]
+        for batch in batches:
+            ref = miller_j_sorted(m_max, batch, specfun._start_order, specfun._RESCALE)
+            assert specfun._miller_j(m_max, batch.copy()).tobytes() == ref.tobytes()
+    # one row, two rows of one start, and rows on each side of |x| = 20
+    for batch in ([6.0], [6.0, 6.5], [19.9, 20.1], [20.1, 19.9, 50.0, 1e-6], [50.0]):
+        batch = np.array(batch)
+        ref = miller_j_sorted(m_max, batch, specfun._start_order, specfun._RESCALE)
+        assert specfun._miller_j(m_max, batch.copy()).tobytes() == ref.tobytes()
+
+
+def test_bool_order_is_refused_by_the_rows():
+    # True passed the integer check and gave a (1, 2) array
+    with pytest.raises(RangeError, match="order must be a non-negative integer, got True"):
+        specfun.bessel_j_rows(True, [1.0])
+    with pytest.raises(RangeError, match="got False"):
+        specfun.bessel_j_all(False, 1.0)
+
+
+def test_bool_order_is_refused_by_bessel_i():
+    # True passed the integer check and gave I_1(1) = 0.5652
+    with pytest.raises(RangeError, match="order must be a non-negative integer, got True"):
+        specfun.bessel_i(True, 1.0)
