@@ -563,30 +563,33 @@ def _log_factorials(lo, hi):
     return np.concatenate((_LOG_FACTORIALS[lo:hi], past)) if past else _LOG_FACTORIALS[lo:hi]
 
 
-def _antinormal_levels(params, dim, keep):
-    """Levels k >= ``dim`` over which the antinormal-first sums run.
+def _antinormal_levels(params, keep):
+    """Levels over which the antinormal-first sums run on the leading ``keep`` block.
 
     Entry (m, n) of exp(B- K-) B0^K0 exp(B+ K+) sums, over k >= max(m, n),
     terms of size C(k, m) C(k, n) |B-|^(k-m) |B+|^(k-n) |B0|^(k+1/2).  On the
-    retained block (m, n < keep) each term is at most
+    compared block (m, n < keep) each term is at most
     rho_k = q ((k+1) / (k+2-keep))^2 times the one before, q = |B+ B- B0|,
     so once rho_k < 1 the terms from k on sum to at most t_k / (1 - rho_k),
     t_k the largest term at k on the block.  The sums stop at the first
-    k >= dim at which that bound is at most 2^-53, one unit roundoff of the
-    residual's normalisation (which is at least 1).
+    k >= max(keep, 2) at which that bound is at most 2^-53, one unit
+    roundoff of the residual's normalisation (which is at least 1).  Every
+    term at k < keep is summed anyway, and the power pass needs x^0 and
+    x^1, hence the 2.
 
-    One search finds it: k doubles from dim until the bound passes, and
-    bisection narrows the last step.  The bound is +inf while rho_k >= 1
+    One search finds it: k doubles from max(keep, 2) until the bound passes,
+    and bisection narrows the last step.  The bound is +inf while rho_k >= 1
     and strictly falls after (rho_k falls, t_(k+1) <= rho_k t_k), so
     passing is monotone in k and bisection ends on the level a scan from
-    dim finds.  rho_k >= q (keep >= 1), so q >= 1 is refused before any
-    level is looked at; a k past 1024 is refused with its count, and none
-    is sought past 2^53, where k has no exact double.  log n! is the
-    table's, or math.lgamma's past it; the terms in m alone are formed
+    max(keep, 2) finds.  rho_k >= q (keep >= 1), so q >= 1 is refused
+    before any level is looked at; a k past 1024 is refused with its count,
+    and none is sought past 2^53, where k has no exact double.  log n! is
+    the table's, or math.lgamma's past it; the terms in m alone are formed
     once.  When B+ or B- vanishes each sum ends at max(m, n) < keep.
     """
+    start = max(keep, 2)
     if params.plus == 0 or params.minus == 0:
-        return dim
+        return start
     q = abs(params.plus * params.minus * params.zero)
     diverges = RangeError(f"antinormal-first sums do not fall below 2^-53 within {_MAX_LEVELS} "
                           f"levels (|B+ B- B0| = {q:.6g})")
@@ -606,7 +609,7 @@ def _antinormal_levels(params, dim, keep):
         log_t = sum(lf[-1] + k * g + t for g, t in zip(logs, top)) + (k + 0.5) * log_zero
         return log_t - math.log1p(-rho) <= _LOG_ROUNDOFF
 
-    lo, hi = dim - 1, dim  # the bound at lo is taken to be above 2^-53
+    lo, hi = start - 1, start  # the bound at lo is taken to be above 2^-53
     while not done(hi):
         if hi > 1 << 53:
             raise diverges
@@ -639,10 +642,13 @@ def verify_bch(params, dim, edge_exclude=None):
     absolute error of about 2^-53 of the normalisation plus 2^-100 of the
     largest term; on |X+-| <= 0.3 the residual is ~1e-14.  The
     normal-first sums are finite.  The antinormal-first sums run to the
-    first level k >= dim whose dropped tail is provably at most 2^-53 (dim
+    first level k >= max(keep, 2), keep = dim - edge_exclude, whose dropped
+    tail on the compared block is provably at most 2^-53 (max(keep, 2)
     when B+ or B- vanishes), found by one doubling and bisection search
     (:func:`_antinormal_levels`): the tail bound falls monotonically in k,
-    so bisection ends on the level a scan from dim would find.
+    so bisection ends on the level a scan from max(keep, 2) would find.
+    The levels from keep to dim are not read, so the residual depends on
+    the parameters and keep alone.
 
     The principal logarithm of the zero-parameter is used on both sides;
     sweeps crossing arg = +-pi must unwrap externally.
@@ -655,8 +661,9 @@ def verify_bch(params, dim, edge_exclude=None):
     RangeError
         For non-finite parameters, a dimension above 1024 levels, or
         antinormal sums whose tail does not fall below 2^-53 within 1024
-        levels: |B+ B- B0| near or above 1, or a dim near 1024.  When
-        |B+ B- B0| < 1 the message names the levels the sums need.
+        levels: |B+ B- B0| near or above 1, or a compared block near 1024
+        levels.  When |B+ B- B0| < 1 the message names the levels the sums
+        need.
     NumericError
         If an ordering map or a product overflows double precision.
     """
@@ -674,7 +681,7 @@ def verify_bch(params, dim, edge_exclude=None):
     else:
         a_side, b_side = bch_antinormal_to_normal(params), params
     keep = dim - b
-    levels = _antinormal_levels(b_side, dim, keep)  # at most _MAX_LEVELS
+    levels = _antinormal_levels(b_side, keep)  # at most _MAX_LEVELS
     binom = _pascal(max(64, 1 << (levels - 1).bit_length()))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         # the antinormal-first side first: its longer sums run beside no finished block

@@ -194,9 +194,10 @@ SUITES = {
 
 
 def run_suite(name, dim=64, seed=12345):
-    """Run one named suite (or ``all``) and return its check results."""
+    """Run one named suite (or ``all``) and return its check results; ``seed`` is a
+    non-negative integer, not a bool."""
     dim = fock._check_dim(dim)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise RangeError(f"seed must be a non-negative integer, got {seed!r}")
     if name == "all":
         return [result for suite in SUITES.values() for result in suite(dim=dim, seed=seed)]

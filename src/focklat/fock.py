@@ -50,9 +50,10 @@ def _shift(d, k):
 class TruncatedOperator:
     """Banded operator on the truncated space, immutable after construction.
 
-    ``diagonals`` maps an offset k to an array d of length ``dim`` with
-    d[i] = <i|A|i+k>; entries whose column i + k falls outside the space
-    are zeroed, and an offset that is not listed is a zero diagonal.
+    ``diagonals`` maps an integer offset k (not a bool) to an array d of
+    length ``dim`` with d[i] = <i|A|i+k>; entries whose column i + k falls
+    outside the space are zeroed, and an offset that is not listed is a
+    zero diagonal.
 
     ``edge_band`` is set by :func:`lattice.build_hamiltonian` alone: the
     number of top guides that a lattice's oracle comparison may leave out.
@@ -72,7 +73,8 @@ class TruncatedOperator:
         diagonals = {}
         for k, d in self.diagonals.items():
             d = np.asarray(d, dtype=complex)
-            if not isinstance(k, (int, np.integer)) or not -dim < k < dim or d.shape != (dim,):
+            if (not isinstance(k, (int, np.integer)) or isinstance(k, bool) or not -dim < k < dim
+                    or d.shape != (dim,)):
                 raise DimensionError(f"diagonal {k!r} of shape {d.shape} does not fit dim {dim}")
             diagonals[int(k)] = _shift(_shift(d, -k), k)  # zeroes i + k outside the space
             diagonals[int(k)].setflags(write=False)
@@ -132,9 +134,9 @@ class TruncatedOperator:
 
 
 def basis_state(dim, n):
-    """Fock basis vector |n> in an N-level space."""
+    """Fock basis vector |n> in an N-level space; n is an integer in [0, dim), not a bool."""
     dim = _check_dim(dim)
-    if not isinstance(n, (int, np.integer)) or not 0 <= n < dim:
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 0 <= n < dim:
         raise DimensionError(f"basis index {n!r} is not an integer in [0, {dim})")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0

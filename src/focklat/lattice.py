@@ -171,6 +171,10 @@ def propagate(spec, input_field, zmax, samples=200):
     RangeError
         For a zero input, a negative or non-finite ``zmax``, or a ``samples``
         that is not a positive integer below 2^53.
+    NumericError
+        For an input with a non-finite amplitude or a squared norm that
+        overflows, found before any product, or a ``zmax`` whose phases
+        overflow.
     """
     v = np.asarray(input_field, dtype=complex).copy()
     if v.shape != (spec.dim,):
@@ -178,6 +182,8 @@ def propagate(spec, input_field, zmax, samples=200):
     if not np.all(np.isfinite(v.view(float))):
         raise NumericError("input field contains non-finite amplitudes")
     norm0 = float(np.vdot(v, v).real)
+    if not math.isfinite(norm0):  # before any square or product can overflow
+        raise NumericError("the input field's squared norm overflows double precision")
     if norm0 == 0.0:
         raise RangeError("input field must be nonzero")
     z_grid = sample_grid(zmax, samples)

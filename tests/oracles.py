@@ -37,7 +37,8 @@ def expm(op, scale=1.0):
 
 
 def guard_log_bound(params, k, keep):
-    """log of the antinormal-first tail bound t_k / (1 - rho_k) at each level of ``k``.
+    """log of the antinormal-first tail bound t_k / (1 - rho_k) on the compared
+    ``keep`` x ``keep`` block, at each level of ``k`` (each k >= keep - 1).
 
     t_k = max over m, n < keep of C(k, m) C(k, n) |B-|^(k-m) |B+|^(k-n)
     |B0|^(k+1/2), and rho_k = q ((k+1) / (k+2-keep))^2 with q = |B+ B- B0|;
@@ -56,10 +57,10 @@ def guard_log_bound(params, k, keep):
     return np.where(shrinks, log_t - np.log1p(-np.where(shrinks, rho, 0.0)), np.inf)
 
 
-def guard_scan(params, dim, keep):
-    """The first level k in [dim, 1024] at which :func:`guard_log_bound` is at most
-    2^-53, found by trying every level in turn; None if there is none."""
-    k = np.arange(dim, 1025)
+def guard_scan(params, keep):
+    """The first level k in [max(keep, 2), 1024] at which :func:`guard_log_bound`
+    is at most 2^-53, found by trying every level in turn; None if there is none."""
+    k = np.arange(max(keep, 2), 1025)
     done = guard_log_bound(params, k, keep) <= -53 * math.log(2)
     return int(k[done.argmax()]) if done.any() else None
 

@@ -402,6 +402,29 @@ def test_verify_bch_divergent_antinormal_sum():
         algebra.verify_bch(b, 16)
 
 
+def test_verify_bch_refuses_a_guard_past_2_to_the_53():
+    # |B+ B- B0| is one rounding below 1: rho_k stays at or above 1 at every
+    # level the doubling search can name exactly, so it gives up past 2^53
+    b = BCHParams(plus=1 - 2**-53, zero=1.0, minus=1 - 2**-53, ordering=Ordering.ANTINORMAL_FIRST)
+    with pytest.raises(RangeError, match=r"^antinormal-first sums do not fall below 2\^-53 "
+                                         r"within 1024 levels \(\|B\+ B- B0\| = 1\)$"):
+        algebra.verify_bch(b, 16)
+
+
+@pytest.mark.parametrize("plus,zero,minus,levels", [
+    (-0.4863824743339461 + 0.5444277265945268j, 0.12801892620019611 + 0.3740240147254796j,
+     0.017419502358179066 - 0.02732463627625524j, 849),
+    (0.29050979500882024 - 0.19640005624079035j, 0.07697191669147525 + 0.37386555953569406j,
+     -0.11012254504961665 + 0.053804972343935185j, 879),
+], ids=["seed-7-draw", "seed-1-draw"])
+def test_verify_bch_guard_starts_at_the_compared_block(plus, zero, minus, levels):
+    # at dim 1024 the 768 compared levels need only `levels` levels of sums;
+    # a guard started at dim summed all 1024 and the products overflowed
+    b = BCHParams(plus, zero, minus, Ordering.ANTINORMAL_FIRST)
+    assert algebra._antinormal_levels(b, 768) == guard_scan(b, 768) == levels
+    assert algebra.verify_bch(b, 1024) <= 1e-9
+
+
 @pytest.mark.parametrize("plus,dim", [(0.1, 1024), (0.1 + 0.05j, 1008)])
 def test_verify_bch_names_the_levels_a_converging_sum_needs(plus, dim):
     # the sums converge at once, but their guard ends one level past the
@@ -414,10 +437,10 @@ def test_verify_bch_names_the_levels_a_converging_sum_needs(plus, dim):
                               f"above the limit of 1024 levels (|B+ B- B0| = {q:.6g})")
 
 
-def _guard(params, dim, keep):
+def _guard(params, keep):
     """The levels the antinormal-first sums run over, or the message that refuses them."""
     try:
-        return algebra._antinormal_levels(params, dim, keep)
+        return algebra._antinormal_levels(params, keep)
     except RangeError as err:
         return str(err)
 
@@ -438,15 +461,14 @@ def test_guard_matches_a_linear_scan():
     # of the same bound, with log n! from scipy's gammaln instead of the table
     rng = np.random.default_rng(31)
     kinds = collections.Counter()
-    for dim in (2, 3, 8, 64, 100, 256):
-        keep = dim - math.ceil(dim / 4)
+    for keep in (1, 2, 6, 48, 75, 192):  # the compared blocks of dims 2, 3, 8, 64, 100, 256
         for _ in range(40):
             plus = cmath.rect(1.2 * math.sqrt(rng.uniform()), 2 * math.pi * rng.uniform())
             zero = cmath.rect(rng.uniform(0.3, 2.0), rng.uniform(-2.9, 2.9))
             minus = cmath.rect(1.2 * math.sqrt(rng.uniform()), 2 * math.pi * rng.uniform())
             b = BCHParams(plus, zero, minus, Ordering.ANTINORMAL_FIRST)
             q = abs(b.plus * b.minus * b.zero)
-            got, level = _guard(b, dim, keep), guard_scan(b, dim, keep)
+            got, level = _guard(b, keep), guard_scan(b, keep)
             if level is not None:
                 kinds["levels"] += 1
                 assert got == level
@@ -469,7 +491,7 @@ def test_guard_matches_a_linear_scan():
 def test_guard_names_the_first_level_past_the_limit(plus, zero, minus, dim, need):
     b = BCHParams(plus, zero, minus, Ordering.ANTINORMAL_FIRST)
     keep = dim - math.ceil(dim / 4)
-    assert _guard(b, dim, keep) == _need_message(need, abs(plus * minus * zero))
+    assert _guard(b, keep) == _need_message(need, abs(plus * minus * zero))
     assert _passes_first_at(b, keep, need)
 
 
@@ -480,7 +502,7 @@ def test_levels_past_the_limit_continue_the_guard_bound():
     assert np.allclose(algebra._log_factorials(900, 1200), scipy.special.gammaln(n + 1.0),
                        rtol=0, atol=1e-9)
     b = BCHParams(0.99, 1.0, 0.999, Ordering.ANTINORMAL_FIRST)
-    need = int(_guard(b, 512, 384).split()[3])
+    need = int(_guard(b, 384).split()[3])
     assert need > 1024 and _passes_first_at(b, 384, need)
 
 
@@ -737,11 +759,11 @@ def _gather_ordered_block(params, keep, levels, binom):
 _ROUTES_AGREE = 2e-15
 
 
-def _both_routes(b, dim, edge_exclude=None):
-    """Worst |factorised - gather| over both sides, over the normalisation."""
-    keep = dim - (math.ceil(dim / 4) if edge_exclude is None else edge_exclude)
+def _both_routes(b, keep):
+    """Worst |factorised - gather| over both sides on the leading keep x keep
+    block, over the normalisation."""
     a = algebra.bch_antinormal_to_normal(b)
-    levels = algebra._antinormal_levels(b, dim, keep)
+    levels = algebra._antinormal_levels(b, keep)
     binom = algebra._pascal(max(64, 1 << (levels - 1).bit_length()))
     worst = 0.0
     for side in (a, b):
@@ -753,7 +775,7 @@ def _both_routes(b, dim, edge_exclude=None):
 
 
 def test_factorised_sums_match_gather_route_on_criterion_3_draws():
-    worst = max(_both_routes(_criterion_3_draw(i), 64, edge_exclude=16) for i in range(50))
+    worst = max(_both_routes(_criterion_3_draw(i), 48) for i in range(50))
     assert worst <= _ROUTES_AGREE
 
 
@@ -767,10 +789,10 @@ def test_factorised_sums_match_gather_route_on_criterion_3_draws():
 ])
 def test_factorised_sums_match_gather_route_at_the_edges(plus, zero, minus, dim):
     b = BCHParams(plus=plus, zero=zero, minus=minus, ordering=Ordering.ANTINORMAL_FIRST)
-    assert _both_routes(b, dim) <= _ROUTES_AGREE
+    assert _both_routes(b, dim - math.ceil(dim / 4)) <= _ROUTES_AGREE
 
 
 def test_factorised_sums_match_gather_route_on_normal_first_input():
     a = BCHParams(plus=0.1 + 0.05j, zero=np.exp(0.4j), minus=-0.08j,
                   ordering=Ordering.NORMAL_FIRST)
-    assert _both_routes(algebra.bch_normal_to_antinormal(a), 48) <= _ROUTES_AGREE
+    assert _both_routes(algebra.bch_normal_to_antinormal(a), 36) <= _ROUTES_AGREE

@@ -728,10 +728,11 @@ def test_run_suite_names_the_suites_for_an_unknown_one():
         checks.run_suite("nope")
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_run_suite_checks_its_seed(seed):
-    # numpy's default_rng raised its own ValueError or TypeError in the algebra suite
-    with pytest.raises(RangeError):
+    # numpy's default_rng raised its own ValueError or TypeError in the algebra
+    # suite, and seed=True ran it with seed 1
+    with pytest.raises(RangeError, match=rf"^seed must be a non-negative integer, got {seed!r}$"):
         checks.run_suite("algebra", 8, seed=seed)
 
 

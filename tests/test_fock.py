@@ -61,6 +61,10 @@ def test_dimension_validation():
         fock.basis_state(4, 4)
     with pytest.raises(DimensionError):  # numpy raised IndexError
         fock.basis_state(4, 1.5)
+    # numpy reads a bool index as a mask: True gave all ones, False the zero vector
+    for flag in (True, False):
+        with pytest.raises(DimensionError, match=rf"^basis index {flag} is not an integer in "):
+            fock.basis_state(4, flag)
 
 
 def test_expm_trivial_cases():
@@ -158,6 +162,8 @@ def test_constructor_zeroes_entries_outside_the_space():
     (4, {0: np.ones(4)}, 5, DimensionError),
     (1, {0: np.ones(1)}, 0, DimensionError),
     (fock.MAX_DIM + 1, {}, 0, RangeError),
+    (4, {True: np.ones(4)}, 0, DimensionError),  # was stored at offset 1
+    (4, {False: np.ones(4)}, 0, DimensionError),
 ])
 def test_constructor_validation(dim, diagonals, edge_band, error):
     with pytest.raises(error):

@@ -8,6 +8,7 @@ from focklat import fock, lattice, specfun, states
 from focklat.algebra import _half_spectrum
 from focklat.errors import (
     DimensionError,
+    NumericError,
     RangeError,
     TruncationOverflowError,
     UnsupportedOracleError,
@@ -238,6 +239,20 @@ def test_propagate_overflows_as_the_reference_block_loop():
         lattice.propagate(spec, field0, zmax=2.0, samples=200)
     assert str(info.value) == str(expected.value)
     assert " at z = 1." in str(info.value)
+
+
+@pytest.mark.parametrize("field0,message", [
+    (1e308 * fock.vacuum(8), "the input field's squared norm overflows double precision"),
+    (np.full(8, 1e308 + 0j), "the input field's squared norm overflows double precision"),
+    (np.full(8, np.nan + 0j), "input field contains non-finite amplitudes"),
+], ids=["1e308-at-guide-0", "1e308-everywhere", "nan"])
+def test_propagate_refuses_a_non_finite_input_or_norm(field0, message):
+    # a squared norm that overflowed warned in a square or a product, and at
+    # guide 0 then raised TruncationOverflowError on an inf edge leakage
+    spec = LatticeSpec(LatticeKind.UNIFORM, 8)
+    for zmax in (0.0, 1.0):
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            lattice.propagate(spec, field0, zmax=zmax, samples=4)
 
 
 def test_uniform_guide0_amplitude():
