@@ -79,8 +79,8 @@ from .errors import (
 )
 from .fock import TruncatedOperator
 
-# Largest working dimension of verify_bch: every binomial C(k, j) with
-# k < 1024 is finite in double precision.
+# Most levels verify_bch's sums run over, enforced by _antinormal_levels
+# alone: every binomial C(k, j) with k < 1024 is finite in double precision.
 _MAX_LEVELS = 1024
 
 # log k! for k <= _MAX_LEVELS, the terms' binomials in _antinormal_levels
@@ -328,7 +328,7 @@ def _cdd_powers(bases, n):
     return (hi, lo), ex
 
 
-@functools.lru_cache(maxsize=None)  # n is a power of two <= _MAX_LEVELS
+@functools.lru_cache(maxsize=None)  # n is a power of two that _antinormal_levels allows
 def _pascal(n):
     """C(k, j) for k, j < n as a read-only double-double pair of arrays."""
     hi = np.zeros((n, n))
@@ -582,41 +582,42 @@ def _antinormal_levels(params, keep):
     and strictly falls after (rho_k falls, t_(k+1) <= rho_k t_k), so
     passing is monotone in k and bisection ends on the level a scan from
     max(keep, 2) finds.  rho_k >= q (keep >= 1), so q >= 1 is refused
-    before any level is looked at; a k past 1024 is refused with its count,
-    and none is sought past 2^53, where k has no exact double.  log n! is
-    the table's, or math.lgamma's past it; the terms in m alone are formed
-    once.  When B+ or B- vanishes each sum ends at max(m, n) < keep.
+    before any level is looked at, and none is sought past 2^53, where k
+    has no exact double.  log n! is the table's, or math.lgamma's past it;
+    the terms in m alone are formed once.  When B+ or B- vanishes each sum
+    ends at max(m, n) < keep.  However found, a count past 1024 is refused
+    with its value; no other check enforces the limit.
     """
     start = max(keep, 2)
-    if params.plus == 0 or params.minus == 0:
-        return start
     q = abs(params.plus * params.minus * params.zero)
-    diverges = RangeError(f"antinormal-first sums do not fall below 2^-53 within {_MAX_LEVELS} "
-                          f"levels (|B+ B- B0| = {q:.6g})")
-    if q >= 1:
-        raise diverges
-    logs = [math.log(abs(v)) for v in (params.minus, params.plus)]
-    log_zero = math.log(abs(params.zero))
-    # -log m! - m log|B-+|, one row per side; the rest of C(k, m) |B-+|^(k-m) depends on k
-    lifted = -_LOG_FACTORIALS[:keep] - np.arange(keep) * np.array(logs)[:, None]
-
-    def done(k):
-        rho = q * ((k + 1) / (k + 2 - keep)) ** 2
-        if rho >= 1:
-            return False
-        lf = _log_factorials(k + 1 - keep, k + 1)  # log (k - m)! is lf[keep - 1 - m]
-        top = (lifted - lf[::-1]).max(axis=1)
-        log_t = sum(lf[-1] + k * g + t for g, t in zip(logs, top)) + (k + 0.5) * log_zero
-        return log_t - math.log1p(-rho) <= _LOG_ROUNDOFF
-
-    lo, hi = start - 1, start  # the bound at lo is taken to be above 2^-53
-    while not done(hi):
-        if hi > 1 << 53:
+    hi = start
+    if params.plus != 0 and params.minus != 0:
+        diverges = RangeError(f"antinormal-first sums do not fall below 2^-53 within "
+                              f"{_MAX_LEVELS} levels (|B+ B- B0| = {q:.6g})")
+        if q >= 1:
             raise diverges
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if done(mid) else (mid, hi)
+        logs = [math.log(abs(v)) for v in (params.minus, params.plus)]
+        log_zero = math.log(abs(params.zero))
+        # -log m! - m log|B-+|, one row per side; the rest of C(k, m) |B-+|^(k-m) depends on k
+        lifted = -_log_factorials(0, keep) - np.arange(keep) * np.array(logs)[:, None]
+
+        def done(k):
+            rho = q * ((k + 1) / (k + 2 - keep)) ** 2
+            if rho >= 1:
+                return False
+            lf = _log_factorials(k + 1 - keep, k + 1)  # log (k - m)! is lf[keep - 1 - m]
+            top = (lifted - lf[::-1]).max(axis=1)
+            log_t = sum(lf[-1] + k * g + t for g, t in zip(logs, top)) + (k + 0.5) * log_zero
+            return log_t - math.log1p(-rho) <= _LOG_ROUNDOFF
+
+        lo = start - 1  # the bound at lo is taken to be above 2^-53
+        while not done(hi):
+            if hi > 1 << 53:
+                raise diverges
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if done(mid) else (mid, hi)
     if hi > _MAX_LEVELS:
         raise RangeError(f"antinormal-first sums need {hi} levels to fall below 2^-53, above the "
                          f"limit of {_MAX_LEVELS} levels (|B+ B- B0| = {q:.6g})")
@@ -659,17 +660,14 @@ def verify_bch(params, dim, edge_exclude=None):
         For a dim that is not an integer >= 2, or an edge exclusion that is
         not an integer in [0, dim) (not a bool).
     RangeError
-        For non-finite parameters, a dimension above 1024 levels, or
-        antinormal sums whose tail does not fall below 2^-53 within 1024
-        levels: |B+ B- B0| near or above 1, or a compared block near 1024
-        levels.  When |B+ B- B0| < 1 the message names the levels the sums
-        need.
+        For non-finite parameters, a dim above ``fock.MAX_DIM``, or
+        antinormal sums that need more than 1024 levels (not dim): |B+ B- B0|
+        near or above 1, or a compared block near or past 1024 levels (from
+        dim 1367 by default).  When |B+ B- B0| < 1 the message names them.
     NumericError
         If an ordering map or a product overflows double precision.
     """
     dim = fock._check_dim(dim)
-    if dim > _MAX_LEVELS:
-        raise RangeError(f"dimension {dim} exceeds {_MAX_LEVELS}")
     if edge_exclude is not None and (not isinstance(edge_exclude, (int, np.integer))
                                      or isinstance(edge_exclude, bool)):
         raise DimensionError(f"edge exclusion must be an integer, got {edge_exclude!r}")
@@ -681,7 +679,7 @@ def verify_bch(params, dim, edge_exclude=None):
     else:
         a_side, b_side = bch_antinormal_to_normal(params), params
     keep = dim - b
-    levels = _antinormal_levels(b_side, keep)  # at most _MAX_LEVELS
+    levels = _antinormal_levels(b_side, keep)  # at most _MAX_LEVELS, or refused
     binom = _pascal(max(64, 1 << (levels - 1).bit_length()))
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
         # the antinormal-first side first: its longer sums run beside no finished block

@@ -28,8 +28,8 @@ precondition violation, 4 Bessel-root singularity, 5 truncation overflow,
 6 numeric failure (an exhausted memory included).
 
 ``--dim`` is from 2 to ``fock.MAX_DIM`` (4096) levels or guides for every
-command, checked before anything of that size is allocated; ``bch-check``
-keeps its own limit of 1024.  Any other value exits 3.
+command, checked before anything of that size is allocated; any other value
+exits 3.  ``bch-check`` also exits 3 when its sums need more than 1024 levels.
 """
 
 import json

@@ -55,11 +55,11 @@ class TruncatedOperator:
     outside the space are zeroed, and an offset that is not listed is a
     zero diagonal.
 
-    ``edge_band`` is set by :func:`lattice.build_hamiltonian` alone: the
-    number of top guides that a lattice's oracle comparison may leave out.
-    No operation reads or carries it.  Deleting the field is the lattice
-    half of the ROADMAP's edge-band item, together with that comparison's
-    top-guide cut.
+    ``edge_band``, an integer in [0, dim] (not a bool), is set by
+    :func:`lattice.build_hamiltonian` alone: the number of top guides that a
+    lattice's oracle comparison may leave out.  No operation reads or
+    carries it.  Deleting the field is the lattice half of the ROADMAP's
+    edge-band item, together with that comparison's top-guide cut.
     """
 
     dim: int
@@ -67,9 +67,10 @@ class TruncatedOperator:
     edge_band: int = 0
 
     def __post_init__(self):
-        dim = _check_dim(self.dim)
-        if not 0 <= self.edge_band <= dim:
-            raise DimensionError(f"edge_band {self.edge_band} outside [0, {dim}]")
+        dim, band = _check_dim(self.dim), self.edge_band
+        if (not isinstance(band, (int, np.integer)) or isinstance(band, bool)
+                or not 0 <= band <= dim):
+            raise DimensionError(f"edge_band {band!r} is not an integer in [0, {dim}]")
         diagonals = {}
         for k, d in self.diagonals.items():
             d = np.asarray(d, dtype=complex)
@@ -79,6 +80,7 @@ class TruncatedOperator:
             diagonals[int(k)] = _shift(_shift(d, -k), k)  # zeroes i + k outside the space
             diagonals[int(k)].setflags(write=False)
         object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "edge_band", int(band))
         object.__setattr__(self, "diagonals", MappingProxyType(dict(sorted(diagonals.items()))))
 
     def _check_same_dim(self, other):

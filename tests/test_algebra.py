@@ -1,6 +1,7 @@
 import cmath
 import collections
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -381,8 +382,10 @@ def test_cdd_powers_have_exactly_n_columns_bitwise_the_doubled_ones(n):
 ])
 def test_verify_bch_rejects_bad_sizes(dim, edge_exclude, error):
     b = BCHParams(0.1, 1.0, 0.1, Ordering.ANTINORMAL_FIRST)
-    with pytest.raises(error):
+    with pytest.raises(error) as err:
         algebra.verify_bch(b, dim, edge_exclude=edge_exclude)
+    if error is RangeError:  # refused by the levels its 768 compared levels need, not by dim
+        assert str(err.value) == _need_message(1025, 0.01)
 
 
 @pytest.mark.parametrize("field", ["plus", "zero", "minus"])
@@ -411,18 +414,26 @@ def test_verify_bch_refuses_a_guard_past_2_to_the_53():
         algebra.verify_bch(b, 16)
 
 
-@pytest.mark.parametrize("plus,zero,minus,levels", [
-    (-0.4863824743339461 + 0.5444277265945268j, 0.12801892620019611 + 0.3740240147254796j,
-     0.017419502358179066 - 0.02732463627625524j, 849),
+_SEED_7_DRAW = (-0.4863824743339461 + 0.5444277265945268j,
+                0.12801892620019611 + 0.3740240147254796j,
+                0.017419502358179066 - 0.02732463627625524j)
+
+
+@pytest.mark.parametrize("plus,zero,minus,dim,levels", [
+    (*_SEED_7_DRAW, 1024, 849),
     (0.29050979500882024 - 0.19640005624079035j, 0.07697191669147525 + 0.37386555953569406j,
-     -0.11012254504961665 + 0.053804972343935185j, 879),
-], ids=["seed-7-draw", "seed-1-draw"])
-def test_verify_bch_guard_starts_at_the_compared_block(plus, zero, minus, levels):
-    # at dim 1024 the 768 compared levels need only `levels` levels of sums;
-    # a guard started at dim summed all 1024 and the products overflowed
+     -0.11012254504961665 + 0.053804972343935185j, 1024, 879),
+    (*_SEED_7_DRAW, 1100, 912),
+    (*_SEED_7_DRAW, 1200, 995),
+], ids=["seed-7-draw", "seed-1-draw", "seed-7-draw-dim-1100", "seed-7-draw-dim-1200"])
+def test_verify_bch_guard_starts_at_the_compared_block(plus, zero, minus, dim, levels):
+    # the dim - ceil(dim/4) compared levels need only `levels` levels of sums:
+    # at dim 1024 a guard started at dim summed all 1024 and the products
+    # overflowed, and every dim above 1024 was refused whatever its block needed
     b = BCHParams(plus, zero, minus, Ordering.ANTINORMAL_FIRST)
-    assert algebra._antinormal_levels(b, 768) == guard_scan(b, 768) == levels
-    assert algebra.verify_bch(b, 1024) <= 1e-9
+    keep = dim - math.ceil(dim / 4)
+    assert algebra._antinormal_levels(b, keep) == guard_scan(b, keep) == levels
+    assert algebra.verify_bch(b, dim) <= 1e-9
 
 
 @pytest.mark.parametrize("plus,dim", [(0.1, 1024), (0.1 + 0.05j, 1008)])
@@ -435,6 +446,50 @@ def test_verify_bch_names_the_levels_a_converging_sum_needs(plus, dim):
         algebra.verify_bch(b, dim)
     assert str(err.value) == ("antinormal-first sums need 1025 levels to fall below 2^-53, "
                               f"above the limit of 1024 levels (|B+ B- B0| = {q:.6g})")
+
+
+def _refuse_tables_and_products(monkeypatch):
+    def built(*args):
+        raise AssertionError("a table or product was built before the refusal")
+    monkeypatch.setattr(algebra, "_pascal", built)
+    monkeypatch.setattr(algebra, "_ordered_blocks", built)
+
+
+@pytest.mark.parametrize("ordering", list(Ordering))
+def test_vanishing_b_side_sums_need_the_compared_block(ordering, monkeypatch):
+    # B- = 0 on both sides: the sums end inside the compared block, so dim 1366
+    # (1024 compared levels) runs and the next dims are refused by their count;
+    # without that check dim 2000 reached _pascal(2048), which overflows
+    b = BCHParams(0.1, 1.0, 0.0, ordering)
+    assert algebra.verify_bch(b, 1366) == 0.0
+    _refuse_tables_and_products(monkeypatch)
+    for dim, need in ((1367, 1025), (2000, 1500)):
+        with pytest.raises(RangeError) as err:
+            algebra.verify_bch(b, dim)
+        assert str(err.value) == _need_message(need, 0.0)
+
+
+@pytest.mark.parametrize("plus,minus,dim,ordering,need", [
+    (0.1 + 0.05j, 0.1, 1400, Ordering.ANTINORMAL_FIRST, 1417),  # the documented input
+    (0.1 + 0.05j, 0.1, 1400, Ordering.NORMAL_FIRST, 1405),
+    (0.01, 0.01, 4096, Ordering.ANTINORMAL_FIRST, 3170),
+    (0.01, 0.01, 4096, Ordering.NORMAL_FIRST, 3170),
+])
+def test_compared_blocks_past_the_log_factorial_table_are_refused_by_count(
+        plus, minus, dim, ordering, need, monkeypatch):
+    # a compared block longer than the log-factorial table raised a raw
+    # broadcast ValueError once dim was no longer capped
+    params = BCHParams(plus, 1.0, minus, ordering)
+    mapped = ordering is Ordering.NORMAL_FIRST
+    b = algebra.bch_normal_to_antinormal(params) if mapped else params
+    keep = dim - math.ceil(dim / 4)
+    _refuse_tables_and_products(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(RangeError) as err:
+        algebra.verify_bch(params, dim)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == _need_message(need, abs(b.plus * b.minus * b.zero))
+    assert _passes_first_at(b, keep, need)
 
 
 def _guard(params, keep):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -226,6 +227,33 @@ def test_overflowing_parameters_fail_with_their_exit_code(argv, code, capsys):
 def test_ceilings_come_from_the_computation(argv, code, message, capsys):
     status, _, err = run_cli(argv, capsys)
     assert (status, err) == (code, message)
+
+
+@pytest.mark.parametrize("argv,need,q", [
+    (["bch-check", "--xplus", "0.1", "--xzero", "1", "--xminus", "0", "--dim", "2000"],
+     1500, "0"),
+    (["verify", "--suite", "algebra", "--dim", "2048"], 2000, "0.0088221"),
+])
+def test_level_limit_past_dim_1024_is_refused_quickly(argv, need, q, capsys):
+    # refused by the levels the sums need, not by dim, before any Pascal
+    # table or product of that size
+    run_cli(argv, capsys)  # imports and caches outside the timing
+    start = time.perf_counter()
+    status, out, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (status, out) == (3, "")
+    assert err == (f"error: antinormal-first sums need {need} levels to fall below 2^-53, "
+                   f"above the limit of 1024 levels (|B+ B- B0| = {q})\n")
+
+
+def test_bch_check_runs_past_dim_1024_where_its_sums_fit(capsys):
+    # 825 compared levels need 912 levels of sums; every dim above 1024 exited 3
+    argv = ["bch-check", "--xplus=-0.4863824743339461+0.5444277265945268i",
+            "--xzero=0.12801892620019611+0.3740240147254796i",
+            "--xminus=0.017419502358179066-0.02732463627625524i", "--dim", "1100"]
+    status, out, _ = run_cli(argv, capsys)
+    assert status == 0
+    assert "bch-identity,1.1102230246251565e-16,1e-09,pass" in out.splitlines()
 
 
 def test_bch_check_has_no_edge_exclusion(tmp_path, capsys):

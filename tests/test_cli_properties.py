@@ -158,6 +158,12 @@ def _numeric_values(out):
                "--samples", "99999999999999999999"])
 @example(argv=["propagate", "--lattice", "su11", "--zmax", "1", "--dim", "4",
                "--samples", "9223372036854775807"])
+# dims(256) never reaches these: past dim 1024 bch-check refuses by the levels
+# its sums need (1500 and 3170), before a Pascal table or log-factorial slice
+# of that size could fail with a raw exception
+@example(argv=["bch-check", "--xplus", "0.1", "--xzero", "1", "--xminus", "0", "--dim", "2000"])
+@example(argv=["bch-check", "--xplus", "0.01", "--xzero", "1", "--xminus", "0.01", "--dim", "4096",
+               "--ordering", "normal"])
 def test_every_command_exits_with_a_readme_code_and_finite_output(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -164,7 +164,15 @@ def test_constructor_zeroes_entries_outside_the_space():
     (fock.MAX_DIM + 1, {}, 0, RangeError),
     (4, {True: np.ones(4)}, 0, DimensionError),  # was stored at offset 1
     (4, {False: np.ones(4)}, 0, DimensionError),
+    (4, {0: np.ones(4)}, 0.5, DimensionError),  # was stored as 0.5
+    (4, {0: np.ones(4)}, True, DimensionError),  # was stored as True
+    (4, {0: np.ones(4)}, np.float64(2.0), DimensionError),  # was stored as a float
 ])
 def test_constructor_validation(dim, diagonals, edge_band, error):
     with pytest.raises(error):
         TruncatedOperator(dim, diagonals, edge_band)
+
+
+def test_edge_band_is_stored_as_an_int():
+    band = TruncatedOperator(4, {0: np.ones(4)}, np.int64(2)).edge_band
+    assert band == 2 and type(band) is int
