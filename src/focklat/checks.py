@@ -15,7 +15,7 @@ import numpy as np
 
 from . import algebra, fock, lattice, specfun, states
 from .algebra import BCHParams, Ordering
-from .errors import RangeError
+from .errors import FocklatError, RangeError
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,19 @@ def suite_algebra(dim=64, seed=12345):
     rng = np.random.default_rng(seed)
     worst_rt = 0.0
     worst_id = 0.0
-    for _ in range(10):
+    for draw in range(10):
         b = BCHParams(
             plus=0.15 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()),
             zero=np.exp(1j * rng.uniform(-2.9, 2.9)),
             minus=0.15 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()),
             ordering=Ordering.ANTINORMAL_FIRST,
         )
-        _, round_trip, identity = reordering_check(b, dim)
+        try:
+            _, round_trip, identity = reordering_check(b, dim)
+        except FocklatError as exc:  # say which of the suite's own parameters were refused
+            xs = ", ".join(f"{name} = {v.real:.6g}{v.imag:+.6g}i"
+                           for name, v in (("X+", b.plus), ("X0", b.zero), ("X-", b.minus)))
+            raise type(exc)(f"reordering draw {draw} ({xs}): {exc}") from exc
         worst_rt = max(worst_rt, round_trip)
         worst_id = max(worst_id, identity)
     out.append(CheckResult("bch-round-trip", worst_rt, 1e-13))

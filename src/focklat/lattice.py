@@ -140,7 +140,8 @@ def propagate(spec, input_field, zmax, samples=200):
         E(z)[odd]  = Uo (i sin(theta) a + cos(theta) b),
 
     four real products of half the size, taken ``_BLOCK`` samples at a time.
-    It holds the fields, Ue, Uo and one block's temporaries.  For a real
+    It holds the fields, Ue, Uo and one block's temporaries; the product that
+    reads a block's cosines (sines) last forms its term in their array.  For a real
     input at one guide, a or b is 0: its terms are left out, which halves
     the products, and a component that is exactly zero in the closed forms
     (E_m is i^m times a real number) stays 0 instead of carrying about
@@ -200,9 +201,15 @@ def propagate(spec, input_field, zmax, samples=200):
     b_re, b_im = weight * (odd.real @ uo), weight * (odd.imag @ uo)
     fields = np.empty((samples + 1, spec.dim), dtype=complex)
     fields[0] = v
-    # each product is (cos x + sin y) U^T; a - b is a + (-b) exactly
-    products = [(fields[:, 0::2].real, ue, a_re, -b_im), (fields[:, 0::2].imag, ue, a_im, b_re),
-                (fields[:, 1::2].real, uo, b_re, -a_im), (fields[:, 1::2].imag, uo, b_im, a_re)]
+    # each product is (cos x + sin y) U^T; a - b is a + (-b) exactly.  A coefficient
+    # vector with no nonzero entry drops its term, which changes no value: t + 0 * s
+    # is t, up to the sign of a zero that the +0.0 below clears.
+    products = [(out, u, x if x.any() else None, y if y.any() else None) for out, u, x, y in
+                [(fields[:, 0::2].real, ue, a_re, -b_im), (fields[:, 0::2].imag, ue, a_im, b_re),
+                 (fields[:, 1::2].real, uo, b_re, -a_im), (fields[:, 1::2].imag, uo, b_im, a_re)]]
+    # the product that reads cos (sin) last forms its term in cos's (sin's) own buffer
+    last_cos, last_sin = (max((i for i, p in enumerate(products) if p[c] is not None), default=-1)
+                          for c in (2, 3))
     drift = abs(np.sum(np.abs(v) ** 2) - norm0)  # running max of |‖E(z)‖² - ‖E(0)‖²|
     leak = np.abs(v[-1]) ** 2  # running max of |E_{N-1}|^2
     for lo in range(1, samples + 1, _BLOCK):
@@ -210,10 +217,9 @@ def propagate(spec, input_field, zmax, samples=200):
         theta = np.outer(z_grid[rows], rate)
         cos = np.cos(theta)
         sin = np.sin(theta, out=theta)
-        for out, u, x, y in products:
-            mixed = _mix(cos, x, sin, y)
-            out[rows] = 0.0 if mixed is None else mixed @ u.T
-        del theta, cos, sin, mixed
+        for i, (out, u, x, y) in enumerate(products):
+            out[rows] = _mixed_product(cos, x, sin, y, u, (i == last_cos, i == last_sin))
+        del theta, cos, sin
         block = fields[rows]
         block += 0.0  # turns signed zeros into 0.0, as the closed forms print them
         if not np.all(np.isfinite(block.view(float))):
@@ -221,6 +227,7 @@ def propagate(spec, input_field, zmax, samples=200):
         power = np.abs(block)
         power *= power  # |E|^2 in place; x ** 2 is x * x
         drift = max(drift, np.abs(np.sum(power, axis=1) - norm0).max())
+        del power  # not held through the next block
         edge = np.maximum(np.abs(block[:, -1]) ** 2, leak)
         over = np.flatnonzero(edge > LEAKAGE_LIMIT)
         if over.size:  # the first sample past the limit; its running max is edge[over[0]]
@@ -232,20 +239,21 @@ def propagate(spec, input_field, zmax, samples=200):
                              edge_leakage=float(leak))
 
 
-def _mix(cos, x, sin, y):
-    """cos x + sin y for coefficient vectors x and y, in that order.
+def _mixed_product(cos, x, sin, y, u, last):
+    """(cos x + sin y) U^T for coefficient vectors x and y, None for a dropped term.
 
-    A vector with no nonzero entry drops its term, which changes no value:
-    t + 0 * s is t, up to the sign of a zero that the caller's +0.0 clears.
-    None if both vectors are zero.
+    ``last`` tells whether this is the last read of cos and of sin; such a
+    term is formed in that array's own buffer.  0.0 if both terms are dropped.
     """
-    x, y = (c if c.any() else None for c in (x, y))
+    if x is None and y is None:
+        return 0.0
+    sin_y = None if y is None else np.multiply(sin, y, out=sin if last[1] else None)
     if x is None:
-        return None if y is None else sin * y
-    out = cos * x
-    if y is not None:
-        out += sin * y
-    return out
+        return sin_y @ u.T
+    mixed = np.multiply(cos, x, out=cos if last[0] else None)
+    if sin_y is not None:
+        mixed += sin_y
+    return mixed @ u.T
 
 
 def _closed_form_rows(spec, zs):
@@ -305,9 +313,11 @@ def compare_to_oracle(result, spec):
     difference is the hypot of (re - expected, im) on the even guides and
     (im - expected, re) on the odd ones, which is exactly |re - expected|
     or |im - expected| where the other component is 0, as :func:`propagate`
-    leaves it for unit input.  No complex copy of the closed form is made.
-    The rows are taken for every guide and then cut, so they are those of
-    :func:`impulse_profiles`.
+    leaves it for unit input.  No complex copy of the closed form is made,
+    and the differences are formed ``_BLOCK`` samples at a time in a copy of
+    that block's rows, so that no operation reads two strided operands (numpy
+    buffers each one).  The rows are taken for every guide and then cut, so
+    they are those of :func:`impulse_profiles`.
     """
     first = result.fields[0]
     expected = np.zeros(spec.dim, dtype=complex)
@@ -321,6 +331,10 @@ def compare_to_oracle(result, spec):
                                         (result.fields.imag, result.fields.real)]):
         cut = slice(parity, keep, 2)
         if parity < keep:  # else no kept guide has this parity
-            dev = np.subtract(on[:, cut], rows[:, cut])
-            worst.append(np.hypot(dev, off[:, cut], out=dev).max())
+            for lo in range(0, len(rows), _BLOCK):
+                block = slice(lo, lo + _BLOCK)
+                dev = rows[block, cut].copy()
+                np.subtract(on[block, cut], dev, out=dev)
+                worst.append(np.hypot(dev, off[block, cut], out=dev).max())
+                del dev  # not held while the next block's is made
     return float(np.max(worst))

@@ -43,32 +43,39 @@ def _start_order(m, x):
 
 
 def _miller_j(m_max, xs):
-    """J_0..J_{m_max} at every x of ``xs`` (all > 0) from one downward pass.
+    """J_0..J_{m_max} at every x of ``xs`` (all >= 0) from one downward pass.
 
     Rows run in argument order from the largest start.  Row i holds exact
     zeros until its own start, is seeded there and rescaled on its own, so it
-    is bitwise the single-argument recurrence at xs[i].  Shape (len(xs), m_max + 1).
+    is bitwise the single-argument recurrence at xs[i].  Rows with
+    x < ``_LEADING_TERM_CUTOFF`` are never seeded and stay 0 for the caller
+    to fill.  The rescaling and the normalisation run row by row in place, so
+    the result, shape (len(xs), m_max + 1), is a view of the working array and
+    nothing else of its size is made.
     """
-    starts = np.array([_start_order(m_max, x) for x in xs])
+    run = xs >= _LEADING_TERM_CUTOFF
+    starts = np.array([_start_order(m_max, x) for x in xs], dtype=int)
     starts += starts % 2
-    top = starts.max()
-    later = set(starts[starts < top].tolist())  # the start orders below the top
-    f = np.zeros((len(xs), top + 2))
-    f[np.arange(len(xs)), starts] = 1e-300
+    starts[~run] = -1  # matches no order k - 1 >= 0 of the pass
+    top = starts.max(initial=-1)  # -1 when no row is seeded: the pass is empty
+    later = set(starts[run & (starts < top)].tolist())  # the start orders below the top
+    f = np.zeros((len(xs), max(top, m_max) + 2))
+    f[run, starts[run]] = 1e-300
+    steps = np.where(run, xs, 1.0)  # the unseeded rows stay 0 at any finite 2k/x
     for k in range(top, 0, -1):
         col = f[:, k - 1]
-        np.divide(2.0 * k, xs, out=col)
+        np.divide(2.0 * k, steps, out=col)
         col *= f[:, k]
         col -= f[:, k + 1]
         if k - 1 in later:
             col[starts == k - 1] = 1e-300
         if np.abs(col).max() > _RESCALE:
-            f[np.abs(col) > _RESCALE] *= 1.0 / _RESCALE
-    # each row's own sum, so numpy's pairwise order matches the scalar one
-    s = np.array([row[0] + 2.0 * row[2:start + 1:2].sum() for row, start in zip(f, starts)])
-    rows = f[:, : m_max + 1]
-    rows /= s[:, None]
-    return rows
+            for i in np.flatnonzero(np.abs(col) > _RESCALE):
+                f[i, k - 1:] *= 1.0 / _RESCALE  # the orders below k - 1 are still 0
+    for i in np.flatnonzero(run):  # each row's own sum, in numpy's pairwise order
+        row = f[i]
+        row[: m_max + 1] /= row[0] + 2.0 * row[2:starts[i] + 1:2].sum()
+    return f[:, : m_max + 1]
 
 
 def _j_ratios(count, x):
@@ -127,6 +134,9 @@ def bessel_j_rows(m_max, xs):
     -------
     ndarray
         Shape (len(xs), m_max + 1); row i is bitwise ``bessel_j_all(m_max, xs[i])``.
+        It may be a view of the recurrence's working array, which runs past
+        m_max to the highest start order, so that no second table of its
+        size is made; copy it for a contiguous array.
     """
     _check_order(m_max)
     xs = np.asarray(xs, dtype=float)
@@ -136,12 +146,12 @@ def bessel_j_rows(m_max, xs):
     if over.any():
         raise RangeError(f"|argument| {abs(xs[over][0])} exceeds supported maximum "
                          f"{MAX_ARGUMENT}")
-    out = np.empty((len(xs), m_max + 1))
-    tiny = np.abs(xs) < _LEADING_TERM_CUTOFF
-    out[tiny] = _leading_term_j(m_max, np.abs(xs[tiny]))
-    if not tiny.all():
-        out[~tiny] = _miller_j(m_max, np.abs(xs[~tiny]))
-    out[xs < 0.0, 1::2] *= -1.0
+    ax = np.abs(xs)
+    out = _miller_j(m_max, ax)
+    tiny = ax < _LEADING_TERM_CUTOFF
+    out[tiny] = _leading_term_j(m_max, ax[tiny])
+    for i in np.flatnonzero(xs < 0.0):
+        out[i, 1::2] *= -1.0
     return out
 
 

@@ -43,6 +43,10 @@ _ROOT_TOL = 1e-10
 
 _TWO_PI = 2.0 * math.pi
 
+# _su11_rows forms its rows this many at a time, so that beside the table it
+# holds one small block of powers and numpy's buffers for it
+_SU11_BLOCK = 8
+
 
 def _check_alpha(alpha):
     top = 0.5 * specfun.MAX_ARGUMENT  # the London rows and I_0 take 2|alpha| up to the limit
@@ -263,6 +267,8 @@ def _su11_rows(rs, k, dim):
     log-gamma differences so large m cannot overflow; at k = 1/2, the
     lattices' index, they are exactly 1, since lgamma(1) is 0 and 2k + m is
     m + 1.  At huge k the rows may hold inf or nan, which the caller checks.
+    Each block of ``_SU11_BLOCK`` rows is its prefactors times the Gamma
+    ratios, then times its powers, formed in the table itself.
     """
     pre = []
     for r in rs:
@@ -271,13 +277,17 @@ def _su11_rows(rs, k, dim):
         except OverflowError:  # r past ~710.5, where sech r = 2 e^-r in double precision
             sech = 2.0 * math.exp(-r)
         pre.append(sech ** (2.0 * k))
+    pre = np.array(pre)
     tanh = np.array([math.tanh(r) for r in rs])
     lg = np.array([math.lgamma(2 * k + m) - math.lgamma(m + 1) for m in range(dim)])
     m = np.arange(dim)
+    rows = np.empty((len(pre), dim))
     with np.errstate(all="ignore"):  # overflow at huge k
-        rows = np.multiply.outer(pre, np.exp(0.5 * (lg - math.lgamma(2 * k))))
-        for b in range(0, len(rows), 64):  # the powers of at most 64 r at a time
-            rows[b:b + 64] *= tanh[b:b + 64, None] ** m
+        gamma = np.exp(0.5 * (lg - math.lgamma(2 * k)))
+        for b in range(0, len(rows), _SU11_BLOCK):
+            block = rows[b:b + _SU11_BLOCK]
+            np.multiply.outer(pre[b:b + _SU11_BLOCK], gamma, out=block)
+            block *= tanh[b:b + _SU11_BLOCK, None] ** m
     return rows
 
 

@@ -4,7 +4,7 @@ import pytest
 from focklat import specfun
 from focklat.errors import RangeError
 
-from oracles import miller_j_sorted, series_i, series_j
+from oracles import miller_j_sorted, peak_bytes, series_i, series_j
 
 
 def test_j_at_zero_argument():
@@ -151,6 +151,37 @@ def test_batched_rows_are_bitwise_the_scalar_recurrence(m_max):
     # J_m(0) is the unit row, with no negative zero for x = -0.0
     for zero in rows[-4:-2]:
         assert zero.tobytes() == np.eye(1, m_max + 1).tobytes()
+
+
+@pytest.mark.parametrize("m_max", [0, 3, 65, 400])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_unseeded_rows_anywhere_are_bitwise_the_one_row_calls(m_max, where):
+    # x = 0 and tiny x are never seeded in the working array and are filled after
+    # the pass; a negative x has its odd orders negated in place
+    xs = list(np.linspace(0.5, 10.0, 9))
+    at = {"first": 0, "middle": 4, "last": len(xs)}[where]
+    for special in (0.0, 1e-300, -2.0**-31, -3.5):
+        batch = np.array(xs[:at] + [special] + xs[at:])
+        rows = specfun.bessel_j_rows(m_max, batch)
+        for x, row in zip(batch, rows):
+            assert row.tobytes() == specfun.bessel_j_all(m_max, x).tobytes()
+
+
+def test_rows_hold_one_working_array():
+    # 0.106 MB of rows at 201 arguments and orders 0..65; the working array runs
+    # to order 117 (0.190 MB).  A second table of the result's size beside it and
+    # numpy's buffers for the broadcast normalisation made it 0.499 MB
+    xs = np.linspace(0.0, 10.0, 201)
+    specfun.bessel_j_rows(65, xs)
+    assert peak_bytes(lambda: specfun.bessel_j_rows(65, xs)) <= 0.25e6
+
+
+def test_rows_at_scale_hold_little_more_than_the_result():
+    # 32.8 MB of rows at 2001 arguments and orders 0..2048; the working array is
+    # 2.5% wider.  With a copy of the rows beside it the peak was 67.5 MB
+    xs = np.linspace(0.0, 10.0, 2001)
+    specfun.bessel_j_rows(2048, xs[:3])
+    assert peak_bytes(lambda: specfun.bessel_j_rows(2048, xs)) <= 1.1 * 8 * 2001 * 2049
 
 
 def test_batched_rows_range_errors():

@@ -391,12 +391,16 @@ def _su11_broadcast_rows(rs, k, dim):
 
 
 @pytest.mark.parametrize("rs,k,dim", [
-    (np.linspace(0.0, 5.0, 201), 0.5, 400),  # four blocks of powers, the last one short
+    (np.linspace(0.0, 5.0, 201), 0.5, 400),  # many blocks of rows, the last one short
     (np.linspace(0.0, 3.0, 101), 0.5, 200),
     ([0.0, 1e-3, 3.0, 711.0, 800.0], 1.3, 64),  # past cosh's overflow
     (np.linspace(0.0, 2.0, 33), 7.25, 65),
     ([2.0], 1e5, 10),  # the prefactor underflows to 0 at huge k
     ([2.0, 0.5], 1e5, 400),  # and meets overflowed Gamma ratios: 0 * inf = nan
+    # one row, and the rows on each side of the first block edge
+    *[(np.linspace(0.0, 5.0, 201)[:n], k, dim) for n in
+      (1, states._SU11_BLOCK - 1, states._SU11_BLOCK, states._SU11_BLOCK + 1)
+      for k, dim in [(0.5, 400), (1.3, 65)]],
 ])
 def test_su11_rows_are_bitwise_the_broadcast_form(rs, k, dim):
     with np.errstate(all="ignore"):
@@ -406,11 +410,20 @@ def test_su11_rows_are_bitwise_the_broadcast_form(rs, k, dim):
 
 
 def test_su11_rows_hold_one_block_of_powers():
-    # 0.64 MB of rows at 201 x 400: 1.00 MB with one 64-row block of powers,
+    # 0.64 MB of rows at 201 x 400: 0.74 MB with blocks of _SU11_BLOCK rows,
+    # 1.00 MB with the rows as one outer product and 64-row blocks of powers,
     # 1.43 MB with every power formed at once
     rs = np.linspace(0.0, 5.0, 201)
     states._su11_rows(rs, 0.5, 400)
-    assert peak_bytes(lambda: states._su11_rows(rs, 0.5, 400)) <= 1.1e6
+    assert peak_bytes(lambda: states._su11_rows(rs, 0.5, 400)) <= 0.8e6
+
+
+def test_su11_rows_at_scale_hold_little_more_than_the_table():
+    # 6.59 MB of rows at 201 x 4096; the outer product and a 64-row block of
+    # powers made it 8.79 MB
+    rs = np.linspace(0.0, 5.0, 201)
+    states._su11_rows(rs[:2], 0.5, 4096)
+    assert peak_bytes(lambda: states._su11_rows(rs, 0.5, 4096)) <= 1.1 * 8 * 201 * 4096
 
 
 def _su11_reference(alpha, k, dim):
